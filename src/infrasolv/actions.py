@@ -1,10 +1,13 @@
 """Concrete group actions on a simply connected nilpotent group U.
 
 Elements act in exponential coordinates of the first kind: the affine pair
-(g, phi) sends exp(X) to g * phi(exp X), i.e. a point p in u-coordinates to
-log(g * exp(phi p)). Group multiplication always happens on the ambient
-matrices; phi is carried as its differential, a Lie algebra automorphism in
-basis coordinates.
+(g, phi) sends exp(X) to g * phi(exp X). An element is carried as (u, hol):
+u the coordinates of log g, hol the differential of phi, a Lie algebra
+automorphism in basis coordinates. With mu(x, y) = log(exp x * exp y), the
+algebra's polynomial group law, a point p goes to mu(u, hol p), and
+(u, A)(v, B) = (mu(u, A v), A B). Ambient matrices are read only where
+elements are built from them (bundles, hull data) and written only on
+request, through the lazily built `translation` matrix.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .jordan import is_unipotent
-from .lie import (NilpotentLieAlgebra, _complement_in, center,
-                  lower_central_series, nilp_exp, unip_log)
+from .lie import (NilpotentLieAlgebra, _linear_polys, center, nilp_exp,
+                  unip_log)
 from .linalg import RationalMatrix, _frac, kernel, rank, solve
 from .polynomial import MPoly, PolynomialMap
 
@@ -49,62 +52,71 @@ def is_lie_automorphism(algebra: NilpotentLieAlgebra, a: RationalMatrix) -> bool
 
 
 class AffineElement:
-    """Pair (translation, hol): p -> log(translation * exp(hol p))."""
+    """Pair (u, hol): p -> mu(u, hol p), u the coordinates of the translation."""
 
-    __slots__ = ("algebra", "translation", "hol", "_pmap")
+    __slots__ = ("algebra", "u", "hol", "_translation", "_pmap")
 
     def __init__(self, algebra, translation, hol, validate=True):
+        """Build from an ambient unipotent translation matrix and hol."""
+        if validate and not is_unipotent(translation):
+            raise ValueError("translation part is not unipotent")
         self.algebra = algebra
-        self.translation = translation
+        self.u = algebra.coords_of_matrix(unip_log(translation))  # raises if outside u
         self.hol = hol
+        self._translation = translation
         self._pmap = None
-        if validate:
-            if not is_unipotent(translation):
-                raise ValueError("translation part is not unipotent")
-            algebra.coords_of_matrix(unip_log(translation))  # raises if outside u
-            if not is_lie_automorphism(algebra, hol):
-                raise ValueError("holonomy part is not a Lie algebra automorphism")
+        if validate and not is_lie_automorphism(algebra, hol):
+            raise ValueError("holonomy part is not a Lie algebra automorphism")
+
+    @classmethod
+    def from_coords(cls, algebra, u, hol) -> "AffineElement":
+        """The element (u, hol), u in exponential coordinates; no checks."""
+        self = object.__new__(cls)
+        self.algebra = algebra
+        self.u = tuple(u)
+        self.hol = hol
+        self._translation = None
+        self._pmap = None
+        return self
+
+    @property
+    def translation(self) -> RationalMatrix:
+        """The ambient unipotent matrix exp(u), built on first use."""
+        if self._translation is None:
+            self._translation = nilp_exp(self.algebra.matrix_from_coords(self.u))
+        return self._translation
 
     def __eq__(self, other):
         return (isinstance(other, AffineElement)
-                and self.translation == other.translation
-                and self.hol == other.hol)
+                and self.u == other.u and self.hol == other.hol)
 
     def __hash__(self):
-        return hash((self.translation, self.hol))
+        return hash((self.u, self.hol))
 
     def __repr__(self):
-        u = self.algebra.coords_of_matrix(unip_log(self.translation))
-        return f"AffineElement(u=exp{tuple(map(str, u))}, hol={self.hol!r})"
+        return f"AffineElement(u=exp{tuple(map(str, self.u))}, hol={self.hol!r})"
 
     @staticmethod
     def identity(algebra) -> "AffineElement":
-        d = algebra.ambient[0].rows
-        return AffineElement(algebra, RationalMatrix.identity(d),
-                             RationalMatrix.identity(algebra.dim), validate=False)
+        n = algebra.dim
+        return AffineElement.from_coords(algebra, (Fraction(0),) * n,
+                                         RationalMatrix.identity(n))
 
     def is_identity(self) -> bool:
-        d = self.translation.rows
-        return (self.translation == RationalMatrix.identity(d)
+        return (not any(self.u)
                 and self.hol == RationalMatrix.identity(self.algebra.dim))
 
-    def hol_apply_ambient(self, u: RationalMatrix) -> RationalMatrix:
-        """The automorphism of U induced by hol, on an ambient element of U."""
-        coords = self.algebra.coords_of_matrix(unip_log(u))
-        return nilp_exp(self.algebra.matrix_from_coords(self.hol.apply(coords)))
-
     def compose(self, other: "AffineElement") -> "AffineElement":
-        """(g, phi)(g', phi') = (g phi(g'), phi phi'): apply other first."""
-        return AffineElement(self.algebra,
-                             self.translation * self.hol_apply_ambient(other.translation),
-                             self.hol * other.hol, validate=False)
+        """(u, A)(v, B) = (mu(u, A v), A B): apply other first."""
+        alg = self.algebra
+        return AffineElement.from_coords(
+            alg, alg.group_product(self.u, self.hol.apply(other.u)),
+            self.hol * other.hol)
 
     def inverse(self) -> "AffineElement":
         hinv = self.hol.inverse()
-        inv = AffineElement(self.algebra, self.translation, hinv, validate=False)
-        return AffineElement(self.algebra,
-                             inv.hol_apply_ambient(self.translation.inverse()),
-                             hinv, validate=False)
+        return AffineElement.from_coords(
+            self.algebra, tuple(-x for x in hinv.apply(self.u)), hinv)
 
     def power(self, k: int) -> "AffineElement":
         if k < 0:
@@ -116,15 +128,15 @@ class AffineElement:
 
     def apply(self, point):
         """Image of a u-coordinate point, exactly."""
-        alg = self.algebra
-        if len(point) != alg.dim:
+        if len(point) != self.algebra.dim:
             raise ValueError("point has wrong dimension")
-        moved = alg.matrix_from_coords(self.hol.apply([_frac(x) for x in point]))
-        return alg.coords_of_matrix(unip_log(self.translation * nilp_exp(moved)))
+        return self.algebra.group_product(self.u, self.hol.apply(point))
 
     def as_polynomial_map(self) -> PolynomialMap:
         if self._pmap is None:
-            self._pmap = _log_left_product_map(self.algebra, self.translation, self.hol)
+            n = self.algebra.dim
+            self._pmap = PolynomialMap(_law_at(self.algebra, _constants(self.u, n),
+                                               _linear_polys(self.hol)))
         return self._pmap
 
     def to_json(self):
@@ -137,135 +149,35 @@ def apply_affine(a: AffineElement, point):
 
 
 # ------------------------------------------------------------------
-# symbolic matrices: lists of rows of MPoly, always over the same nvars
+# the group law on polynomial arguments
 
-def _pm_constant_matrix(m: RationalMatrix, nvars: int):
-    return [[MPoly.constant(nvars, x) for x in row] for row in m.data]
-
-
-def _pm_mul(a, b):
-    bt = list(zip(*b))
-    return [[_pm_dot(row, col) for col in bt] for row in a]
+def _law_at(algebra, xs, ys):
+    """mu(xs, ys) for lists of polynomials, by substitution into the law."""
+    args = list(xs) + list(ys)
+    return [c.substitute(args) for c in algebra.group_law()]
 
 
-def _pm_dot(row, col):
-    acc = row[0] * col[0]
-    for x, y in zip(row[1:], col[1:]):
-        acc = acc + x * y
-    return acc
-
-
-def _pm_add(a, b, sign=1):
-    return [[x + sign * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _pm_scale(a, c):
-    return [[x * c for x in row] for row in a]
-
-
-def _pm_is_zero(a):
-    return all(x.is_zero() for row in a for x in row)
-
-
-def _symbolic_u_element(algebra, coord_polys):
-    """Sum_i coord_polys[i] * B_i as a symbolic ambient matrix."""
-    d = algebra.ambient[0].rows
-    nvars = coord_polys[0].nvars
-    out = [[MPoly.zero(nvars) for _ in range(d)] for _ in range(d)]
-    for c, b in zip(coord_polys, algebra.ambient):
-        for r in range(d):
-            for s in range(d):
-                if b[r, s]:
-                    out[r][s] = out[r][s] + c * b[r, s]
-    return out
-
-
-def _pm_exp(x):
-    """exp of a symbolic matrix, nilpotent for every evaluation point."""
-    d = len(x)
-    nvars = x[0][0].nvars
-    acc = _pm_constant_matrix(RationalMatrix.identity(d), nvars)
-    power = x
-    fact = 1
-    k = 1
-    while not _pm_is_zero(power):
-        if k > d:
-            raise ValueError("symbolic exponential did not terminate: input not nilpotent")
-        fact *= k
-        acc = _pm_add(acc, _pm_scale(power, Fraction(1, fact)))
-        power = _pm_mul(power, x)
-        k += 1
-    return acc
-
-
-def _pm_log(p):
-    """log of a symbolic matrix, unipotent for every evaluation point."""
-    d = len(p)
-    nvars = p[0][0].nvars
-    n = _pm_add(p, _pm_constant_matrix(RationalMatrix.identity(d), nvars), sign=-1)
-    acc = [[MPoly.zero(nvars) for _ in range(d)] for _ in range(d)]
-    power = n
-    k = 1
-    while not _pm_is_zero(power):
-        if k > d:
-            raise ValueError("symbolic logarithm did not terminate: input not unipotent")
-        acc = _pm_add(acc, _pm_scale(power, Fraction((-1) ** (k + 1), k)))
-        power = _pm_mul(power, n)
-        k += 1
-    return acc
-
-
-def _pm_coords(algebra, sym):
-    """Coordinates of a symbolic matrix known to lie in u, via the left inverse."""
-    lf = algebra.coord_functional()
-    flat = [x for row in sym for x in row]
-    nvars = flat[0].nvars
-    comps = []
-    for i in range(algebra.dim):
-        acc = MPoly.zero(nvars)
-        for t, x in enumerate(flat):
-            c = lf[i, t]
-            if c and not x.is_zero():
-                acc = acc + x * c
-        comps.append(acc)
-    # the functional is only a left inverse: check the residual vanishes
-    rebuilt = _symbolic_u_element(algebra, comps)
-    if not _pm_is_zero(_pm_add(sym, rebuilt, sign=-1)):
-        raise ValueError("symbolic matrix does not lie in the algebra span")
-    return comps
-
-
-def _log_left_product_map(algebra, left: RationalMatrix, hol: RationalMatrix) -> PolynomialMap:
-    """x -> log(left * exp(hol x)) as an exact polynomial map."""
-    n = algebra.dim
-    xs = [MPoly.variable(n, i) for i in range(n)]
-    moved = []
-    for i in range(n):
-        acc = MPoly.zero(n)
-        for j in range(n):
-            c = hol[i, j]
-            if c:
-                acc = acc + xs[j] * c
-        moved.append(acc)
-    inner = _pm_exp(_symbolic_u_element(algebra, moved))
-    prod = _pm_mul(_pm_constant_matrix(left, n), inner)
-    return PolynomialMap(_pm_coords(algebra, _pm_log(prod)))
+def _constants(vec, nvars):
+    return [MPoly.constant(nvars, c) for c in vec]
 
 
 def right_translation_map(algebra, v: RationalMatrix) -> PolynomialMap:
     """R_v: x -> log(exp(x) * v) as an exact polynomial map."""
-    algebra.coords_of_matrix(unip_log(v))  # v must lie in U
+    cv = algebra.coords_of_matrix(unip_log(v))  # v must lie in U
     n = algebra.dim
     xs = [MPoly.variable(n, i) for i in range(n)]
-    inner = _pm_exp(_symbolic_u_element(algebra, xs))
-    prod = _pm_mul(inner, _pm_constant_matrix(v, n))
-    return PolynomialMap(_pm_coords(algebra, _pm_log(prod)))
+    return PolynomialMap(_law_at(algebra, xs, _constants(cv, n)))
 
 
 # ------------------------------------------------------------------
 # group data and words
 
 _TOKEN = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(?:\^(-?\d+))?$")
+
+
+def _check_radius(radius: int):
+    if radius < 0:
+        raise ValueError(f"word radius must be nonnegative, got {radius}")
 
 
 def parse_word(s: str):
@@ -324,6 +236,7 @@ class GammaActionData:
         a repeated element is reachable from its first occurrence at smaller
         or equal total length.
         """
+        _check_radius(radius)
         letters = []
         for name, g in self.generators.items():
             letters.append((name, 1, g))
@@ -390,17 +303,6 @@ def action_degree_bound(algebra: NilpotentLieAlgebra) -> int:
 # ------------------------------------------------------------------
 # fixed points by descent along the lower central series
 
-def _adapted_coordinates(algebra):
-    """Basis adapted to the lower central series, with each vector's depth."""
-    chain = lower_central_series(algebra)
-    adapted, depth_of = [], []
-    for d in range(len(chain) - 1):
-        comp = _complement_in(chain[d + 1], chain[d])
-        adapted.extend(comp)
-        depth_of.extend([d] * len(comp))
-    return adapted, depth_of
-
-
 def _pad(poly: MPoly, nvars: int) -> MPoly:
     if poly.nvars == nvars:
         return poly
@@ -423,13 +325,9 @@ def fixed_point_solve(a: AffineElement):
     n = alg.dim
     if n == 0:
         return ()
-    fmap = a.as_polynomial_map()
-    adapted, depth_of = _adapted_coordinates(alg)
-    w = RationalMatrix.from_columns(adapted)
-    winv = w.inverse()
+    w, winv, wy, depth_of = alg.adapted_frame()
     xs = [MPoly.variable(n, i) for i in range(n)]
-    wy = [sum((xs[k] * w[j, k] for k in range(n)), MPoly.zero(n)) for j in range(n)]
-    fwy = [c.substitute(wy) for c in fmap.components]
+    fwy = [c.substitute(wy) for c in a.as_polynomial_map().components]
     g = []
     for i in range(n):
         acc = -xs[i]
@@ -588,6 +486,7 @@ def orbit_sample(gdata: GammaActionData, radius: int, box=None):
     box: list of (lo, hi) rational pairs per coordinate, inclusive. Output
     sorted lexicographically, so identical inputs give identical lists.
     """
+    _check_radius(radius)
     origin = (Fraction(0),) * gdata.algebra.dim
     pts = {origin}
     if gdata.generators:

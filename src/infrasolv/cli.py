@@ -1,8 +1,10 @@
 """Command line front end.
 
 Exit codes: 0 on success, 2 for unusable input (missing files, schema or
-domain validation errors, out-of-scope requests), 3 when the input is well
-formed but a check fails (hull axioms, freeness, fitting labels).
+domain validation errors, out-of-scope requests, negative radii), 3 when the
+input is well formed but a check fails (hull axioms, freeness, fitting
+labels), 1 when standard output is closed before the document is written
+(e.g. piped into `head`); that case prints no traceback.
 
 All output is JSON with sorted keys, so identical inputs and flags produce
 byte-identical documents.
@@ -13,8 +15,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__, bundles
 from .actions import (FixedPointScopeError, action_degree_bound,
@@ -29,6 +31,7 @@ from .linalg import RationalMatrix, frac_to_str
 from .schema import SchemaError
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_INVALID = 2
 EXIT_FAILED = 3
 
@@ -164,29 +167,17 @@ def _cmd_betti(args):
 
 def _cmd_report(args):
     bundle, digest = _load_bundle(args.bundle)
-    sections = {
-        "closure": lambda: _closure_section(bundle),
-        "hull": lambda: _hull_section(bundle),
-        "freeness": lambda: _freeness_section(bundle, args.radius),
-        "cohomology": lambda: _cohomology_section(bundle, args.max_dim),
-        "torus_rank": lambda: torus_rank(bundle.gamma, bundle.hull),
-    }
-    if args.parallel:
-        with ThreadPoolExecutor(max_workers=len(sections)) as pool:
-            futures = {key: pool.submit(fn) for key, fn in sections.items()}
-            results = {key: fut.result() for key, fut in futures.items()}
-    else:
-        results = {key: fn() for key, fn in sections.items()}
-    hull_obj, hull_ok = results["hull"]
-    free_obj, free_ok = results["freeness"]
+    closure = _closure_section(bundle)
+    hull_obj, hull_ok = _hull_section(bundle)
+    free_obj, free_ok = _freeness_section(bundle, args.radius)
     report = {"bundle": bundle.name,
               "description": bundle.description,
               "input_sha256": digest,
-              "closure": results["closure"],
+              "closure": closure,
               "hull": hull_obj,
               "freeness": free_obj,
-              "cohomology": results["cohomology"],
-              "torus_rank": results["torus_rank"]}
+              "cohomology": _cohomology_section(bundle, args.max_dim),
+              "torus_rank": torus_rank(bundle.gamma, bundle.hull)}
     mismatches = _expect_mismatches(bundle.expect, report)
     if mismatches:
         report["expect_mismatches"] = mismatches
@@ -205,6 +196,13 @@ def _expect_mismatches(expect, report):
         if key in actual and actual[key] != want:
             out.append({"key": key, "expected": want, "actual": actual[key]})
     return out
+
+
+def nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
 
 
 def build_parser():
@@ -235,17 +233,15 @@ def build_parser():
         "polynomial action maps of the group generators")
     f = add("free-check", _cmd_free_check,
             "search a word ball for fixed points")
-    f.add_argument("--radius", type=int, default=6)
+    f.add_argument("--radius", type=nonnegative_int, default=6)
     o = add("orbit", _cmd_orbit, "orbit of the origin, sorted")
-    o.add_argument("--radius", type=int, default=6)
+    o.add_argument("--radius", type=nonnegative_int, default=6)
     add("torus-rank", _cmd_torus_rank, "rank of the split central torus")
     b = add("betti", _cmd_betti, "full and invariant Betti numbers")
     b.add_argument("--max-dim", type=int, default=MAX_COMPLEX_DIM)
     r = add("report", _cmd_report, "all checks in one deterministic document")
-    r.add_argument("--radius", type=int, default=6)
+    r.add_argument("--radius", type=nonnegative_int, default=6)
     r.add_argument("--max-dim", type=int, default=MAX_COMPLEX_DIM)
-    r.add_argument("--parallel", action="store_true",
-                   help="compute report sections in worker threads")
     return parser
 
 
@@ -265,7 +261,14 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    _print(obj)
+    try:
+        _print(obj)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so the interpreter's
+        # final flush fails no more, as the `signal` module docs advise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     return code
 
 

@@ -128,15 +128,16 @@ def alpha_T(hull: SplitHullData, u: RationalMatrix, t_word=()) -> AffineElement:
 def conjugacy_transport(v: RationalMatrix, action: AffineElement) -> AffineElement:
     """Rewrite h = u t = u' t' against the conjugate torus T' = v T v^-1.
 
-    With x^y = y x y^-1: u' = u v^t v^-1 and t' = t^v, so the new translation
-    is u * phi(v) * v^-1 and the new holonomy is Ad(v) phi Ad(v)^-1.
+    With x^y = y x y^-1: u' = u v^t v^-1 and t' = t^v, so in coordinates the
+    new translation is mu(mu(u, A c_v), -c_v), c_v = log v, and the new
+    holonomy is Ad(v) A Ad(v)^-1.
     """
     alg = action.algebra
-    alg.coords_of_matrix(unip_log(v))  # v must lie in U
+    cv = alg.coords_of_matrix(unip_log(v))  # v must lie in U
     ad_v = hol_from_ambient(alg, v)
-    new_u = action.translation * action.hol_apply_ambient(v) * v.inverse()
-    new_hol = ad_v * action.hol * ad_v.inverse()
-    return AffineElement(alg, new_u, new_hol, validate=False)
+    moved = alg.group_product(action.u, action.hol.apply(cv))
+    new_u = alg.group_product(moved, tuple(-c for c in cv))
+    return AffineElement.from_coords(alg, new_u, ad_v * action.hol * ad_v.inverse())
 
 
 # ------------------------------------------------------------------

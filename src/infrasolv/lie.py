@@ -15,6 +15,7 @@ from fractions import Fraction
 from .jordan import is_unipotent
 from .linalg import (RationalMatrix, _frac, in_span, intersect_kernels,
                      rref_basis, solve)
+from .polynomial import MPoly
 
 
 def unip_log(g: RationalMatrix) -> RationalMatrix:
@@ -56,6 +57,112 @@ def bracket(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     return a * b - b * a
 
 
+# ------------------------------------------------------------------
+# symbolic matrices: lists of rows of MPoly, always over the same nvars
+
+def _linear_polys(m: RationalMatrix):
+    """The components of x -> m x as polynomials in m.cols variables."""
+    xs = [MPoly.variable(m.cols, j) for j in range(m.cols)]
+    return [sum((xs[j] * c for j, c in enumerate(row) if c), MPoly.zero(m.cols))
+            for row in m.data]
+
+
+def _pm_constant_matrix(m: RationalMatrix, nvars: int):
+    return [[MPoly.constant(nvars, x) for x in row] for row in m.data]
+
+
+def _pm_mul(a, b):
+    bt = list(zip(*b))
+    return [[_pm_dot(row, col) for col in bt] for row in a]
+
+
+def _pm_dot(row, col):
+    acc = row[0] * col[0]
+    for x, y in zip(row[1:], col[1:]):
+        acc = acc + x * y
+    return acc
+
+
+def _pm_add(a, b, sign=1):
+    return [[x + sign * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def _pm_scale(a, c):
+    return [[x * c for x in row] for row in a]
+
+
+def _pm_is_zero(a):
+    return all(x.is_zero() for row in a for x in row)
+
+
+def _symbolic_u_element(algebra, coord_polys):
+    """Sum_i coord_polys[i] * B_i as a symbolic ambient matrix."""
+    d = algebra.ambient[0].rows
+    nvars = coord_polys[0].nvars
+    out = [[MPoly.zero(nvars) for _ in range(d)] for _ in range(d)]
+    for c, b in zip(coord_polys, algebra.ambient):
+        for r in range(d):
+            for s in range(d):
+                if b[r, s]:
+                    out[r][s] = out[r][s] + c * b[r, s]
+    return out
+
+
+def _pm_exp(x):
+    """exp of a symbolic matrix, nilpotent for every evaluation point."""
+    d = len(x)
+    nvars = x[0][0].nvars
+    acc = _pm_constant_matrix(RationalMatrix.identity(d), nvars)
+    power = x
+    fact = 1
+    k = 1
+    while not _pm_is_zero(power):
+        if k > d:
+            raise ValueError("symbolic exponential did not terminate: input not nilpotent")
+        fact *= k
+        acc = _pm_add(acc, _pm_scale(power, Fraction(1, fact)))
+        power = _pm_mul(power, x)
+        k += 1
+    return acc
+
+
+def _pm_log(p):
+    """log of a symbolic matrix, unipotent for every evaluation point."""
+    d = len(p)
+    nvars = p[0][0].nvars
+    n = _pm_add(p, _pm_constant_matrix(RationalMatrix.identity(d), nvars), sign=-1)
+    acc = [[MPoly.zero(nvars) for _ in range(d)] for _ in range(d)]
+    power = n
+    k = 1
+    while not _pm_is_zero(power):
+        if k > d:
+            raise ValueError("symbolic logarithm did not terminate: input not unipotent")
+        acc = _pm_add(acc, _pm_scale(power, Fraction((-1) ** (k + 1), k)))
+        power = _pm_mul(power, n)
+        k += 1
+    return acc
+
+
+def _pm_coords(algebra, sym):
+    """Coordinates of a symbolic matrix known to lie in u, via the left inverse."""
+    lf = algebra.coord_functional()
+    flat = [x for row in sym for x in row]
+    nvars = flat[0].nvars
+    comps = []
+    for i in range(algebra.dim):
+        acc = MPoly.zero(nvars)
+        for t, x in enumerate(flat):
+            c = lf[i, t]
+            if c and not x.is_zero():
+                acc = acc + x * c
+        comps.append(acc)
+    # the functional is only a left inverse: check the residual vanishes
+    rebuilt = _symbolic_u_element(algebra, comps)
+    if not _pm_is_zero(_pm_add(sym, rebuilt, sign=-1)):
+        raise ValueError("symbolic matrix does not lie in the algebra span")
+    return comps
+
+
 @dataclass(frozen=True)
 class UnipotentGroupData:
     """Generators of a unipotent matrix group in a common ambient GL_d."""
@@ -89,7 +196,8 @@ class NilpotentLieAlgebra:
     basis as concrete matrices.
     """
 
-    __slots__ = ("dim", "labels", "brackets", "ambient", "_coord_functional")
+    __slots__ = ("dim", "labels", "brackets", "ambient", "_coord_functional",
+                 "_group_law", "_adapted_frame")
 
     def __init__(self, dim, brackets, labels=None, ambient=None, validate=True):
         self.dim = dim
@@ -108,6 +216,8 @@ class NilpotentLieAlgebra:
         self.brackets = table
         self.ambient = tuple(ambient) if ambient is not None else None
         self._coord_functional = None
+        self._group_law = None
+        self._adapted_frame = None
         if self.ambient is not None and len(self.ambient) != dim:
             raise ValueError("ambient basis count does not match dimension")
         if validate:
@@ -209,6 +319,38 @@ class NilpotentLieAlgebra:
         if self.matrix_from_coords(coords) != x:
             raise ValueError("matrix does not lie in the span of the algebra")
         return coords
+
+    def group_law(self):
+        """mu(x, y) = log(exp x * exp y) in coordinates: dim polynomials in 2 dim
+        variables, x first. Computed once from the ambient matrices; the
+        symbolic logarithm's coordinates are checked against its residual."""
+        if self._group_law is None:
+            v = [MPoly.variable(2 * self.dim, i) for i in range(2 * self.dim)]
+            prod = _pm_mul(_pm_exp(_symbolic_u_element(self, v[:self.dim])),
+                           _pm_exp(_symbolic_u_element(self, v[self.dim:])))
+            self._group_law = tuple(_pm_coords(self, _pm_log(prod)))
+        return self._group_law
+
+    def group_product(self, x, y):
+        """Coordinates of exp(x) * exp(y) for rational coordinate vectors."""
+        point = tuple(x) + tuple(y)
+        return tuple(c.eval(point) for c in self.group_law())
+
+    def adapted_frame(self):
+        """(W, W^-1, W y, depths): W's columns are a basis adapted to the lower
+        central series, depths[k] the layer of column k, W y the change of
+        coordinates as polynomials in y. Computed once."""
+        if self._adapted_frame is None:
+            chain = lower_central_series(self)
+            cols, depths = [], []
+            for d in range(len(chain) - 1):
+                comp = _complement_in(chain[d + 1], chain[d])
+                cols.extend(comp)
+                depths.extend([d] * len(comp))
+            w = RationalMatrix.from_columns(cols)
+            self._adapted_frame = (w, w.inverse(), tuple(_linear_polys(w)),
+                                   tuple(depths))
+        return self._adapted_frame
 
     def contains_matrix(self, x: RationalMatrix) -> bool:
         if self.ambient is None:

@@ -322,6 +322,20 @@ def test_orbit_sample_lattice():
     assert small == [(F(0), F(0)), (F(0), F(1)), (F(1), F(0)), (F(1), F(1))]
 
 
+def test_negative_radius_is_rejected():
+    data = _z2_data()
+    with pytest.raises(ValueError):
+        list(data.enumerate_ball(-1))
+    with pytest.raises(ValueError):
+        freeness_check(data, radius=-1)
+    with pytest.raises(ValueError):
+        orbit_sample(data, radius=-1)
+    triv = lie_closure(UnipotentGroupData(
+        generators=(RationalMatrix.identity(2),), dim_ambient=2))
+    with pytest.raises(ValueError):
+        orbit_sample(GammaActionData(triv, {}, hirsch_rank=0), radius=-1)
+
+
 def test_orbit_of_trivial_group_is_origin():
     triv = lie_closure(UnipotentGroupData(
         generators=(RationalMatrix.identity(2),), dim_ambient=2))

