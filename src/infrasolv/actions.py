@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .jordan import is_unipotent
 from .lie import (NilpotentLieAlgebra, _linear_polys, center, nilp_exp,
                   unip_log)
 from .linalg import RationalMatrix, _frac, kernel, rank, solve
@@ -58,10 +57,12 @@ class AffineElement:
 
     def __init__(self, algebra, translation, hol, validate=True):
         """Build from an ambient unipotent translation matrix and hol."""
-        if validate and not is_unipotent(translation):
-            raise ValueError("translation part is not unipotent")
+        try:
+            log = unip_log(translation)  # checks unipotence
+        except ValueError:
+            raise ValueError("translation part is not unipotent") from None
         self.algebra = algebra
-        self.u = algebra.coords_of_matrix(unip_log(translation))  # raises if outside u
+        self.u = algebra.coords_of_matrix(log)  # raises if outside u
         self.hol = hol
         self._translation = translation
         self._pmap = None

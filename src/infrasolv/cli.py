@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 on success, 2 for unusable input (missing files, schema or
-domain validation errors, out-of-scope requests, negative radii), 3 when the
+domain validation errors, out-of-scope requests, negative radii or
+--max-dim, an algebra of dimension above --max-dim), 3 when the
 input is well formed but a check fails (hull axioms, freeness, fitting
 labels), 1 when standard output is closed before the document is written
 (e.g. piped into `head`); that case prints no traceback.
@@ -238,10 +239,12 @@ def build_parser():
     o.add_argument("--radius", type=nonnegative_int, default=6)
     add("torus-rank", _cmd_torus_rank, "rank of the split central torus")
     b = add("betti", _cmd_betti, "full and invariant Betti numbers")
-    b.add_argument("--max-dim", type=int, default=MAX_COMPLEX_DIM)
+    b.add_argument("--max-dim", type=nonnegative_int,
+                   default=MAX_COMPLEX_DIM)
     r = add("report", _cmd_report, "all checks in one deterministic document")
     r.add_argument("--radius", type=nonnegative_int, default=6)
-    r.add_argument("--max-dim", type=int, default=MAX_COMPLEX_DIM)
+    r.add_argument("--max-dim", type=nonnegative_int,
+                   default=MAX_COMPLEX_DIM)
     return parser
 
 

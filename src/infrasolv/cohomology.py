@@ -1,9 +1,29 @@
 """Cohomology of a nilpotent Lie algebra and of its invariant forms.
 
-The complex is the exterior algebra of the dual with the differential
-determined on degree one by the structure constants and extended as an
-antiderivation. Holonomy matrices act contragrediently; invariant Betti
-numbers are computed along two independent routes and must agree.
+The Chevalley-Eilenberg complex is the exterior algebra of the dual, with
+the differential fixed on degree one by the structure constants and
+extended as an antiderivation. Each differential d_k is built once as
+sparse columns: for each basis k-form, a dict from (k+1)-form index to its
+nonzero coefficient. `CEComplex.diff[k]` is the same map as a dense
+`RationalMatrix`, which `rank` reads.
+
+Holonomy matrices act contragrediently, by rho = hol^-T and its exterior
+powers. When rho is monomial (one nonzero in each row and each column, as
+for every signed permutation), the basis form e_J goes to
+sign * prod(rho entries) * e_(sort rho(J)), with no determinant; otherwise
+only the k x k minors that can be nonzero are computed.
+
+Checks, each made on every call, on sparse columns and with no dense
+product:
+- `CEComplex.__init__`: d_(k+1) d_k = 0, or AssertionError;
+- `CEComplex.action_matrices`: rho d = d rho in every degree, or
+  ValueError (the matrix is not an algebra automorphism);
+- `invariant_cohomology_ranks`: invariant Betti numbers are computed along
+  two independent routes, the cohomology of the invariant forms and the
+  fixed part of the full cohomology, which must agree (AssertionError),
+  and each route checks that the maps it restricts preserve the subspaces
+  (AssertionError). Each route solves for all of a degree's images in one
+  elimination (`linalg.solve_many`).
 """
 
 from __future__ import annotations
@@ -13,9 +33,13 @@ from fractions import Fraction
 from itertools import combinations
 
 from .lie import NilpotentLieAlgebra
-from .linalg import RationalMatrix, in_span, kernel, rank, rref_basis, solve
+from .linalg import (RationalMatrix, fixed_space, kernel, rank, rref_basis,
+                     solve_many)
 
-MAX_COMPLEX_DIM = 14
+# Largest algebra dimension whose full and invariant Betti numbers finish in
+# under 60 s, and the slowest case measured there (README, "Complex size").
+MAX_COMPLEX_DIM = 11
+LIMIT_COST = "42 s for the abelian algebra under -I"
 
 
 def _sort_with_sign(idx):
@@ -34,6 +58,55 @@ def _sort_with_sign(idx):
     return tuple(lst), sign
 
 
+def _compose(outer, inner):
+    """Sparse columns of outer . inner, from the sparse columns of each."""
+    out = []
+    for col in inner:
+        acc = {}
+        for r, x in col.items():
+            for s, y in outer[r].items():
+                acc[s] = acc.get(s, 0) + x * y
+        out.append({s: v for s, v in acc.items() if v})
+    return out
+
+
+def _apply(columns, nrows, vec):
+    """columns applied to vec, skipping zero entries; a dense tuple."""
+    out = [Fraction(0)] * nrows
+    for j, x in enumerate(vec):
+        if x:
+            for r, c in columns[j].items():
+                out[r] += x * c
+    return tuple(out)
+
+
+def _sparse_columns(mat):
+    return [{r: x for r, x in enumerate(col) if x} for col in zip(*mat.data)]
+
+
+def _dense(columns, nrows):
+    zero = Fraction(0)
+    data = [[zero] * len(columns) for _ in range(nrows)]
+    for c, col in enumerate(columns):
+        for r, x in col.items():
+            data[r][c] = x
+    return RationalMatrix(data)
+
+
+def _monomial(m):
+    """(row, entry) of the one nonzero in each column if m is monomial, else None."""
+    n = m.rows
+    out = []
+    for j in range(n):
+        nonzero = [(i, m[i, j]) for i in range(n) if m[i, j]]
+        if len(nonzero) != 1:
+            return None
+        out.append(nonzero[0])
+    if len({i for i, _ in out}) != n:
+        return None
+    return out
+
+
 class CEComplex:
     """Exterior complex of the dual algebra with exact rational differentials."""
 
@@ -41,8 +114,10 @@ class CEComplex:
         n = algebra.dim
         if n > max_dim:
             raise ValueError(
-                f"complex over a {n}-dimensional algebra has 2^{n} basis forms; "
-                f"raise max_dim above {max_dim} to force the computation")
+                f"the complex of a {n}-dimensional algebra has 2^{n} basis "
+                f"forms, above the limit of dimension {max_dim}; at dimension "
+                f"{MAX_COMPLEX_DIM}, the default limit, full and invariant "
+                f"Betti numbers take up to {LIMIT_COST}")
         self.algebra = algebra
         self.dim = n
         self.basis = [list(combinations(range(n), k)) for k in range(n + 1)]
@@ -54,10 +129,17 @@ class CEComplex:
                 if c:
                     d1[m][(i, j)] = d1[m].get((i, j), Fraction(0)) - c
         self._d1 = d1
-        self.diff = [self._build_diff(k) for k in range(n)]
+        # columns[k][c]: d of basis k-form c, as {(k+1)-form index: coefficient}
+        self.columns = [
+            [{self.index[k + 1][key]: val
+              for key, val in self._d_basis_form(idx).items()}
+             for idx in self.basis[k]]
+            for k in range(n)]
         for k in range(n - 1):
-            if not (self.diff[k + 1] * self.diff[k]).is_zero():
+            if any(_compose(self.columns[k + 1], self.columns[k])):
                 raise AssertionError("differential does not square to zero")
+        self.diff = [_dense(self.columns[k], len(self.basis[k + 1]))
+                     for k in range(n)]
 
     def _d_basis_form(self, idx):
         """d of a basis k-form as a dict over sorted (k+1)-tuples."""
@@ -72,15 +154,6 @@ class CEComplex:
                 if val:
                     out[key] = out.get(key, Fraction(0)) + val
         return {k: v for k, v in out.items() if v}
-
-    def _build_diff(self, k):
-        rows = len(self.basis[k + 1])
-        cols = len(self.basis[k])
-        data = [[Fraction(0)] * cols for _ in range(rows)]
-        for c, idx in enumerate(self.basis[k]):
-            for key, val in self._d_basis_form(idx).items():
-                data[self.index[k + 1][key]][c] = val
-        return RationalMatrix(data)
 
     def betti_numbers(self):
         n = self.dim
@@ -102,19 +175,36 @@ class CEComplex:
         automorphism of the algebra is rejected here.
         """
         rho = hol.inverse().transpose()
-        mats = []
-        for k in range(self.dim + 1):
-            level = self.basis[k]
-            data = [[Fraction(0)] * len(level) for _ in level]
-            for c, cols_idx in enumerate(level):
-                for r, rows_idx in enumerate(level):
-                    data[r][c] = _minor(rho, rows_idx, cols_idx)
-            mats.append(RationalMatrix(data) if level else None)
+        mono = _monomial(rho)
+        actions = []
+        for k, level in enumerate(self.basis):
+            if mono is not None:
+                actions.append([self._monomial_image(mono, k, idx) for idx in level])
+            else:
+                actions.append([self._minor_image(rho, k, idx) for idx in level])
         for k in range(self.dim):
-            if self.diff[k] * mats[k] != mats[k + 1] * self.diff[k]:
+            if (_compose(self.columns[k], actions[k])
+                    != _compose(actions[k + 1], self.columns[k])):
                 raise ValueError("matrix does not act on the complex "
                                  "(not an algebra automorphism)")
-        return mats
+        return [_dense(cols, len(cols)) for cols in actions]
+
+    def _monomial_image(self, mono, k, idx):
+        key, sign = _sort_with_sign(tuple(mono[j][0] for j in idx))
+        val = Fraction(sign)
+        for j in idx:
+            val *= mono[j][1]
+        return {self.index[k][key]: val}
+
+    def _minor_image(self, rho, k, idx):
+        # a minor with a zero row vanishes: its rows lie in the columns' support
+        support = sorted({i for j in idx for i in range(rho.rows) if rho[i, j]})
+        out = {}
+        for rows_idx in combinations(support, k):
+            val = _minor(rho, rows_idx, idx)
+            if val:
+                out[self.index[k][rows_idx]] = val
+        return out
 
 
 def _minor(m, rows_idx, cols_idx):
@@ -133,64 +223,42 @@ def cohomology_ranks(algebra: NilpotentLieAlgebra,
     return CEComplex(algebra, max_dim=max_dim).betti_numbers()
 
 
-def _fixed_space(mats, dim):
-    """Basis of the joint fixed space of square matrices acting on Q^dim."""
-    if dim == 0:
-        return []
-    deltas = [m - RationalMatrix.identity(dim) for m in mats]
-    deltas = [d for d in deltas if not d.is_zero()]
-    if not deltas:
-        return rref_basis([tuple(Fraction(int(i == j)) for j in range(dim))
-                           for i in range(dim)])
-    stacked = []
-    for d in deltas:
-        stacked.extend(list(r) for r in d.data)
-    return kernel(RationalMatrix(stacked))
-
-
-def _restrict(mat, dom_basis, cod_basis, what):
-    """Matrix of mat between given column-spanned subspaces; exact or raises."""
+def _restrict(columns, nrows, dom_basis, cod_basis, what):
+    """Matrix of a sparse map between column-spanned subspaces; exact or raises."""
     if not dom_basis:
         return None
+    images = [_apply(columns, nrows, v) for v in dom_basis]
     if not cod_basis:
-        for v in dom_basis:
-            if any(mat.apply(v)):
-                raise AssertionError(f"{what} does not preserve the subspace")
-        return None
-    cod = RationalMatrix.from_columns(cod_basis)
-    cols = []
-    for v in dom_basis:
-        img = mat.apply(v)
-        sol, _ = solve(cod, img)
-        if sol is None:
+        if any(any(img) for img in images):
             raise AssertionError(f"{what} does not preserve the subspace")
-        cols.append(sol)
-    return RationalMatrix.from_columns(cols)
+        return None
+    sols, _ = solve_many(RationalMatrix.from_columns(cod_basis), images)
+    if None in sols:
+        raise AssertionError(f"{what} does not preserve the subspace")
+    return RationalMatrix.from_columns(sols)
 
 
-def _quotient_fixed_dim(action_mats, z_basis, b_basis):
-    """dim of the joint fixed space of the induced action on Z/B."""
-    comp = []
-    current = list(b_basis)
-    for v in z_basis:
-        if not in_span(current, v):
-            comp.append(v)
-            current.append(v)
+def _quotient_fixed_dim(actions, dim, z_basis, b_basis):
+    """dim of the joint fixed space of the induced action on Z/B.
+
+    actions are sparse columns. The complement of B in Z is the greedy one:
+    the vectors of Z outside the span of B and the vectors before them.
+    """
+    if not z_basis:
+        return 0
+    _, pivots = solve_many(RationalMatrix.from_columns(b_basis + z_basis), [])
+    nb = len(b_basis)
+    comp = [z_basis[c - nb] for c in pivots if c >= nb]
     if not comp:
         return 0
-    full = RationalMatrix.from_columns(list(b_basis) + comp)
-    nb = len(b_basis)
-    induced = []
-    for mat in action_mats:
-        cols = []
-        for v in comp:
-            sol, _ = solve(full, mat.apply(v))
-            if sol is None:
-                raise AssertionError("action does not preserve the cocycles")
-            cols.append(sol[nb:])
-        induced.append(RationalMatrix.from_columns(cols))
-    fixed = _fixed_space(induced, len(comp))
-    return len(fixed)
+    images = [_apply(cols, dim, v) for cols in actions for v in comp]
+    sols, _ = solve_many(RationalMatrix.from_columns(b_basis + comp), images)
+    if None in sols:
+        raise AssertionError("action does not preserve the cocycles")
+    nc = len(comp)
+    induced = [RationalMatrix.from_columns([s[nb:] for s in sols[i:i + nc]])
+               for i in range(0, len(sols), nc)]
+    return len(fixed_space(induced, nc))
 
 
 def invariant_cohomology_ranks(algebra: NilpotentLieAlgebra, hols,
@@ -209,14 +277,14 @@ def invariant_cohomology_ranks(algebra: NilpotentLieAlgebra, hols,
     cx = CEComplex(algebra, max_dim=max_dim)
     actions = [cx.action_matrices(h) for h in hols]
     n = cx.dim
+    sizes = [len(level) for level in cx.basis]
 
     # route one: restrict the differential to invariant forms
-    inv_bases = []
-    for k in range(n + 1):
-        dim_k = len(cx.basis[k])
-        inv_bases.append(_fixed_space([a[k] for a in actions], dim_k))
-    restricted = [_restrict(cx.diff[k], inv_bases[k], inv_bases[k + 1],
-                            "differential") for k in range(n)]
+    inv_bases = [fixed_space([a[k] for a in actions], sizes[k])
+                 for k in range(n + 1)]
+    restricted = [_restrict(cx.columns[k], sizes[k + 1], inv_bases[k],
+                            inv_bases[k + 1], "differential")
+                  for k in range(n)]
     route_one = []
     for k in range(n + 1):
         b = len(inv_bases[k])
@@ -229,33 +297,16 @@ def invariant_cohomology_ranks(algebra: NilpotentLieAlgebra, hols,
     # route two: fixed part of the full cohomology
     route_two = []
     for k in range(n + 1):
-        dim_k = len(cx.basis[k])
-        if k < n:
-            z_basis = kernel_of(cx.diff[k], dim_k)
-        else:
-            z_basis = rref_basis([tuple(Fraction(int(i == j))
-                                        for j in range(dim_k))
-                                  for i in range(dim_k)])
-        if k > 0:
-            b_basis = rref_basis([cx.diff[k - 1].column(c)
-                                  for c in range(cx.diff[k - 1].cols)])
-            b_basis = [v for v in b_basis if any(v)]
-        else:
-            b_basis = []
-        route_two.append(_quotient_fixed_dim([a[k] for a in actions],
-                                             z_basis, b_basis))
+        d_k = cx.diff[k] if k < n else RationalMatrix.zero(1, sizes[k])  # d_n = 0
+        z_basis = kernel(d_k)
+        b_basis = rref_basis(zip(*cx.diff[k - 1].data)) if k > 0 else []
+        route_two.append(_quotient_fixed_dim(
+            [_sparse_columns(a[k]) for a in actions], sizes[k], z_basis, b_basis))
 
     if tuple(route_one) != tuple(route_two):
         raise AssertionError(
             f"invariant cohomology routes disagree: {route_one} vs {route_two}")
     return tuple(route_one)
-
-
-def kernel_of(mat, dim):
-    if mat.is_zero():
-        return rref_basis([tuple(Fraction(int(i == j)) for j in range(dim))
-                           for i in range(dim)])
-    return kernel(mat)
 
 
 def euler_characteristic(ranks) -> int:

@@ -17,8 +17,7 @@ from typing import Optional
 from .actions import AffineElement, GammaActionData, is_lie_automorphism
 from .jordan import is_semisimple
 from .lie import NilpotentLieAlgebra, UnipotentGroupData, lie_closure, unip_log
-from .linalg import (RationalMatrix, char_poly, intersect_kernels, rref_basis,
-                     span_equal)
+from .linalg import RationalMatrix, char_poly, fixed_space, span_equal
 
 
 class InductionError(ValueError):
@@ -314,15 +313,6 @@ class HullCertificate:
         return out
 
 
-def _joint_fixed_space(dim, hol_matrices):
-    mats = [a - RationalMatrix.identity(dim) for a in hol_matrices]
-    mats = [m for m in mats if not m.is_zero()]
-    if not mats:
-        return rref_basis([tuple(Fraction(int(i == j)) for j in range(dim))
-                           for i in range(dim)])
-    return rref_basis(intersect_kernels(mats))
-
-
 def hull_axiom_check(hull: SplitHullData, gamma: GammaActionData) -> HullCertificate:
     """The three hull axioms, as far as generator data can witness them.
 
@@ -352,9 +342,9 @@ def hull_axiom_check(hull: SplitHullData, gamma: GammaActionData) -> HullCertifi
         diag["density_translations"] = (
             f"translation parts generate a {closure.dim}-dimensional subalgebra "
             f"of the {hull.algebra.dim}-dimensional u")
-    gamma_fixed = _joint_fixed_space(hull.algebra.dim,
-                                     [g.hol for g in gamma.generators.values()])
-    t_fixed = _joint_fixed_space(hull.algebra.dim, hull.hol_matrices)
+    gamma_fixed = fixed_space([g.hol for g in gamma.generators.values()],
+                              hull.algebra.dim)
+    t_fixed = fixed_space(hull.hol_matrices, hull.algebra.dim)
     fixed_match = gamma_fixed == t_fixed
     if not fixed_match:
         diag["density_holonomy"] = (

@@ -300,15 +300,37 @@ def solve(a: RationalMatrix, b):
     """
     if len(b) != a.rows:
         raise ValueError("right-hand side length mismatch")
-    aug = [list(r) + [_frac(x)] for r, x in zip(a.data, b)]
-    ech, pivots = _rref(aug)
-    ker = kernel(a)
-    if pivots and pivots[-1] == a.cols:  # pivot in the b column
-        return None, ker
-    x = [Fraction(0)] * a.cols
-    for k, c in enumerate(pivots):
-        x[c] = ech[k][a.cols]
-    return tuple(x), ker
+    sols, _ = solve_many(a, [b])
+    return sols[0], kernel(a)
+
+
+def solve_many(a: RationalMatrix, rhs):
+    """Solve a x = b for every b in rhs by one elimination of [a | rhs].
+
+    Returns (solutions, pivots). solutions holds one entry per b: the
+    solution whose free variables are zero, or None where a x = b is
+    inconsistent. pivots are the pivot columns of a, the columns that are
+    not in the span of the columns before them.
+    """
+    rhs = list(rhs)
+    if any(len(b) != a.rows for b in rhs):
+        raise ValueError("right-hand side length mismatch")
+    n = a.cols
+    ech, pivots = _rref([list(row) + [_frac(b[i]) for b in rhs]
+                         for i, row in enumerate(a.data)])
+    a_pivots = [c for c in pivots if c < n]
+    r = len(a_pivots)
+    sols = []
+    for j in range(n, n + len(rhs)):
+        # b is in the column span iff no pivot row beyond a's has weight on it
+        if any(ech[k][j] for k in range(r, len(pivots))):
+            sols.append(None)
+            continue
+        x = [Fraction(0)] * n
+        for k, c in enumerate(a_pivots):
+            x[c] = ech[k][j]
+        sols.append(tuple(x))
+    return sols, a_pivots
 
 
 def in_span(vectors, v) -> bool:
@@ -332,6 +354,27 @@ def intersect_kernels(mats):
         raise ValueError("need at least one matrix")
     stacked = [list(row) for m in mats for row in m.data]
     return kernel(RationalMatrix(stacked))
+
+
+def fixed_space(mats, dim):
+    """Canonical (RREF) basis of the joint fixed space of square matrices on Q^dim.
+
+    This is the joint kernel of the m - I; with no matrix, or only the
+    identity, it is the whole space.
+    """
+    if dim == 0:
+        return []
+    rows = []
+    for m in mats:
+        for i, row in enumerate(m.data):
+            row = list(row)
+            row[i] -= 1
+            if any(row):
+                rows.append(row)
+    if not rows:
+        return [tuple(Fraction(int(i == j)) for j in range(dim))
+                for i in range(dim)]
+    return rref_basis(kernel(RationalMatrix(rows)))
 
 
 class Poly:

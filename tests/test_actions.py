@@ -104,6 +104,14 @@ def test_affine_element_validation():
         AffineElement(ab, outside, RationalMatrix.identity(2))
 
 
+@pytest.mark.parametrize("validate", [True, False])
+def test_non_unipotent_translation_is_rejected(validate):
+    alg = heisenberg()
+    scaled = RationalMatrix([[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(ValueError, match="translation part is not unipotent"):
+        AffineElement(alg, scaled, RationalMatrix.identity(3), validate=validate)
+
+
 def test_group_laws_on_random_elements():
     alg = heisenberg()
     rng = random.Random(3)

@@ -106,6 +106,19 @@ def test_negative_radius_is_rejected(command, bundle, capsys):
     assert captured.out == "" and "nonnegative" in captured.err
 
 
+@pytest.mark.parametrize("argv", [["betti", "torus3"],
+                                  ["report", "torus3", "--radius", "1"]])
+def test_max_dim_is_nonnegative_and_named_in_the_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--max-dim", "-1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == "" and "nonnegative" in captured.err
+    code, out, err = run(capsys, *argv, "--max-dim", "2")
+    assert code == 2 and out == ""
+    assert "above the limit of dimension 2" in err
+
+
 def test_orbit_sorted_and_bounded(capsys):
     code, out, _ = run(capsys, "orbit", "torus2", "--radius", "2")
     assert code == 0

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infrasolv.linalg import (Poly, RationalMatrix, char_poly, in_span,
-                              intersect_kernels, kernel, min_poly, poly_ext_gcd,
-                              poly_gcd, poly_lcm, rank, rref_basis, solve,
-                              squarefree_part)
+from infrasolv.linalg import (Poly, RationalMatrix, char_poly, fixed_space,
+                              in_span, intersect_kernels, kernel, min_poly,
+                              poly_ext_gcd, poly_gcd, poly_lcm, rank,
+                              rref_basis, solve, solve_many, squarefree_part)
 
 F = Fraction
 
@@ -179,6 +179,29 @@ def test_property_solve_is_exact(m, b):
         assert m.apply(sol) == tuple(b)
     for v in ker:
         assert all(x == 0 for x in m.apply(v))
+
+
+@settings(max_examples=40, deadline=None)
+@given(square_matrices(), st.lists(st.lists(small_fracs, min_size=4, max_size=4),
+                                   max_size=3))
+def test_property_solve_many_matches_solve(m, rhs):
+    rhs = [b[: m.rows] for b in rhs]
+    sols, pivots = solve_many(m, rhs)
+    assert sols == [solve(m, b)[0] for b in rhs]
+    cols = [m.column(j) for j in range(m.cols)]
+    assert pivots == [j for j in range(m.cols) if not in_span(cols[:j], cols[j])]
+
+
+def test_fixed_space_is_the_canonical_joint_kernel():
+    swap = M([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    flip = M([[1, 0, 0], [0, 1, 0], [0, 0, -1]])
+    ident = RationalMatrix.identity(3)
+    whole = rref_basis([ident.row(i) for i in range(3)])
+    assert fixed_space([], 3) == fixed_space([ident], 3) == whole
+    assert fixed_space([swap], 3) == rref_basis([(1, 1, 0), (0, 0, 1)])
+    assert fixed_space([swap, flip], 3) == [(F(1), F(1), F(0))]
+    assert fixed_space([flip.scale(2)], 3) == []
+    assert fixed_space([], 0) == []
 
 
 @settings(max_examples=60, deadline=None)
