@@ -14,13 +14,18 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Optional
 
 from .lie import (NilpotentLieAlgebra, _linear_polys, center, nilp_exp,
                   unip_log)
-from .linalg import RationalMatrix, _frac, kernel, rank, solve
+from .linalg import RationalMatrix, _frac, _rref, kernel, rank, solve
 from .polynomial import MPoly, PolynomialMap
+
+
+# Layer reductions fixed_point_solve keeps, far more than one ball's holonomies.
+LAYER_CACHE_SIZE = 256
 
 
 class FixedPointScopeError(RuntimeError):
@@ -311,6 +316,33 @@ def _pad(poly: MPoly, nvars: int) -> MPoly:
                          for e, c in poly.terms.items()})
 
 
+@lru_cache(maxsize=LAYER_CACHE_SIZE)
+def _layer_reduction(block):
+    """One elimination of [M | I] for a layer's coefficient block M.
+
+    Returns (E M, E, pivot columns of M) with E M in reduced row echelon
+    form; the rows of E past the rank of M give the consistency conditions.
+    M is a diagonal block of W^-1 A W - I, so it depends on the holonomy
+    alone and repeats across the elements of a word ball.
+    """
+    m = len(block)
+    ech, pivots = _rref([list(row) + [int(i == j) for j in range(m)]
+                         for i, row in enumerate(block)])
+    return (tuple(tuple(row[:m]) for row in ech),
+            tuple(tuple(row[m:]) for row in ech),
+            tuple(c for c in pivots if c < m))
+
+
+def _combine(coeffs, polys, nvars):
+    """sum_j coeffs[j] * polys[j], built as one MPoly."""
+    terms = {}
+    for c, p in zip(coeffs, polys):
+        if c:
+            for e, v in p.terms.items():
+                terms[e] = terms.get(e, 0) + c * v
+    return MPoly(nvars, terms)
+
+
 def fixed_point_solve(a: AffineElement):
     """A rational fixed point of the affine map, or None if none exists over R.
 
@@ -375,25 +407,9 @@ def fixed_point_solve(a: AffineElement):
             rows.append(coeff)
             rhs.append(-MPoly(nparams, param_part))
 
-        # eliminate: full RREF on the coefficient matrix, symbolic RHS
-        pivots = []
-        r = 0
-        for c in range(m):
-            piv = next((i for i in range(r, m) if rows[i][c]), None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            rhs[r], rhs[piv] = rhs[piv], rhs[r]
-            pv = rows[r][c]
-            rows[r] = [x / pv for x in rows[r]]
-            rhs[r] = rhs[r] * Fraction(1, pv)
-            for i in range(m):
-                if i != r and rows[i][c]:
-                    f = rows[i][c]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-                    rhs[i] = rhs[i] - rhs[r] * f
-            pivots.append(c)
-            r += 1
+        reduced, ops, pivots = _layer_reduction(tuple(map(tuple, rows)))
+        rhs = [_combine(row, rhs, nparams) for row in ops]
+        r = len(pivots)
 
         constraints = []
         for i in range(r, m):
@@ -440,7 +456,7 @@ def fixed_point_solve(a: AffineElement):
         for rr, c in enumerate(pivots):
             expr = _pad(rhs[rr], total)
             for t, fc in enumerate(free):
-                f = rows[rr][fc]
+                f = reduced[rr][fc]
                 if f:
                     expr = expr - MPoly.variable(total, nparams + t) * f
             templ[idx[c]] = expr

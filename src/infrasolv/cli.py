@@ -19,16 +19,16 @@ import json
 import os
 import sys
 
-from . import __version__, bundles
+from . import __version__, bundles, schema
 from .actions import (FixedPointScopeError, action_degree_bound,
                       emit_polynomial_action, freeness_check, orbit_sample,
                       torus_rank)
 from .cohomology import (MAX_COMPLEX_DIM, cohomology_ranks, duality_report,
-                         euler_characteristic, invariant_cohomology_ranks)
+                         euler_characteristic)
 from .hull import fitting_radical_check, hull_axiom_check
 from .jordan import additive_jordan, multiplicative_jordan
 from .lie import lie_closure, lower_central_series
-from .linalg import RationalMatrix, frac_to_str
+from .linalg import frac_to_str
 from .schema import SchemaError
 
 EXIT_OK = 0
@@ -67,7 +67,11 @@ def _cmd_validate(args):
 
 def _cmd_jordan(args):
     with open(args.matrix, "rb") as fh:
-        m = RationalMatrix.from_json(json.load(fh))
+        obj = json.load(fh)
+    try:
+        m = schema.matrix(obj, "$")
+    except SchemaError as exc:
+        raise ValueError(f"invalid matrix: {exc}") from None
     out = {"matrix": m.to_json()}
     if m.det() != 0:
         parts = multiplicative_jordan(m)

@@ -33,8 +33,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .lie import NilpotentLieAlgebra
-from .linalg import (RationalMatrix, fixed_space, kernel, rank, rref_basis,
-                     solve_many)
+from .linalg import (RationalMatrix, complement, fixed_space, kernel, rank,
+                     rref_basis, solve_many)
 
 # Largest algebra dimension whose full and invariant Betti numbers finish in
 # under 60 s, and the slowest case measured there (README, "Complex size").
@@ -241,21 +241,17 @@ def _restrict(columns, nrows, dom_basis, cod_basis, what):
 def _quotient_fixed_dim(actions, dim, z_basis, b_basis):
     """dim of the joint fixed space of the induced action on Z/B.
 
-    actions are sparse columns. The complement of B in Z is the greedy one:
-    the vectors of Z outside the span of B and the vectors before them.
+    actions are sparse columns. The complement of B in Z is the greedy one,
+    `linalg.complement`.
     """
-    if not z_basis:
-        return 0
-    _, pivots = solve_many(RationalMatrix.from_columns(b_basis + z_basis), [])
-    nb = len(b_basis)
-    comp = [z_basis[c - nb] for c in pivots if c >= nb]
+    comp = complement(b_basis, z_basis)
     if not comp:
         return 0
     images = [_apply(cols, dim, v) for cols in actions for v in comp]
     sols, _ = solve_many(RationalMatrix.from_columns(b_basis + comp), images)
     if None in sols:
         raise AssertionError("action does not preserve the cocycles")
-    nc = len(comp)
+    nb, nc = len(b_basis), len(comp)
     induced = [RationalMatrix.from_columns([s[nb:] for s in sols[i:i + nc]])
                for i in range(0, len(sols), nc)]
     return len(fixed_space(induced, nc))

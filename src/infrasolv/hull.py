@@ -33,9 +33,10 @@ def hol_from_ambient(algebra: NilpotentLieAlgebra, t: RationalMatrix) -> Rationa
     cols = []
     for b in algebra.ambient:
         conj = t * b * tinv
-        if not algebra.contains_matrix(conj):
-            raise ValueError("matrix does not normalize the algebra")
-        cols.append(algebra.coords_of_matrix(conj))
+        try:
+            cols.append(algebra.coords_of_matrix(conj))
+        except ValueError:
+            raise ValueError("matrix does not normalize the algebra") from None
     return RationalMatrix.from_columns(cols)
 
 
@@ -229,58 +230,43 @@ def strong_radical_check(hull: SplitHullData, joint_cap: int = 20000,
                        "but is not the identity")
     if len(hull.t_generators) <= 1:
         return StrongRadicalResult(ok=True, exact=True)
-    if all(m is not None for m in orders):
-        # finite holonomy group: enumerate it with ambient companions
-        seen = {ident_hol: ident_amb}
-        frontier = [(ident_hol, ident_amb)]
-        while frontier:
-            if len(seen) > joint_cap:
-                notes.append(f"holonomy group enumeration capped at {joint_cap}")
-                break
-            new = []
-            for hol, amb in frontier:
-                for t, a in zip(hull.t_generators, hull.hol_matrices):
-                    h2, a2 = hol * a, amb * t
-                    if h2 in seen:
-                        if seen[h2] != a2:
-                            w = a2 * seen[h2].inverse()
-                            return StrongRadicalResult(
-                                ok=False, exact=True, witness=w,
-                                reason="two T-words share a holonomy but differ "
-                                       "in the ambient group")
-                    else:
-                        seen[h2] = a2
-                        new.append((h2, a2))
-            frontier = new
-        else:
-            return StrongRadicalResult(ok=True, exact=True)
-        return StrongRadicalResult(ok=True, exact=False, diagnostics=tuple(notes))
-    # mixed/infinite orders: bounded joint search only
-    notes.append(f"infinite-order holonomy present; joint relations searched "
-                 f"to word radius {word_radius} only")
-    gens = []
+    finite = all(m is not None for m in orders)
+    letters = []
     for t, a in zip(hull.t_generators, hull.hol_matrices):
-        gens.append((a, t))
-        gens.append((a.inverse(), t.inverse()))
+        letters.append((a, t))
+        if not finite:
+            letters.append((a.inverse(), t.inverse()))
+    if not finite:
+        notes.append(f"infinite-order holonomy present; joint relations searched "
+                     f"to word radius {word_radius} only")
+    # walk (holonomy, ambient) pairs: a finite group to closure, subject to
+    # joint_cap, otherwise the ball of radius word_radius
     seen = {ident_hol: ident_amb}
     frontier = [(ident_hol, ident_amb)]
-    for _ in range(word_radius):
+    radius = 0
+    while frontier:
+        if finite and len(seen) > joint_cap:
+            notes.append(f"holonomy group enumeration capped at {joint_cap}")
+            break
+        if not finite and radius == word_radius:
+            break
+        radius += 1
         new = []
         for hol, amb in frontier:
-            for a, t in gens:
+            for a, t in letters:
                 h2, a2 = hol * a, amb * t
                 if h2 in seen:
                     if seen[h2] != a2:
-                        w = a2 * seen[h2].inverse()
                         return StrongRadicalResult(
-                            ok=False, exact=True, witness=w,
+                            ok=False, exact=True, witness=a2 * seen[h2].inverse(),
                             reason="two T-words share a holonomy but differ "
                                    "in the ambient group")
                 else:
                     seen[h2] = a2
                     new.append((h2, a2))
         frontier = new
-    return StrongRadicalResult(ok=True, exact=False, diagnostics=tuple(notes))
+    # every bounded walk leaves a note: without one, the group was closed
+    return StrongRadicalResult(ok=True, exact=not notes, diagnostics=tuple(notes))
 
 
 # ------------------------------------------------------------------

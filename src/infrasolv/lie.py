@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .jordan import is_unipotent
-from .linalg import (RationalMatrix, _frac, in_span, intersect_kernels,
-                     rref_basis, solve)
+from .linalg import (RationalMatrix, _frac, complement, intersect_kernels,
+                     rref_basis, solve_many)
 from .polynomial import MPoly
 
 
@@ -300,23 +300,24 @@ class NilpotentLieAlgebra:
         if self.ambient is None:
             raise ValueError("algebra has no ambient matrices")
         if self._coord_functional is None:
-            stack = RationalMatrix.from_columns([m.flatten() for m in self.ambient])
-            # solve stack^T y = e_i for each i; rows of L are the y's
-            st = stack.transpose()
-            rows = []
-            for i in range(self.dim):
-                e = [Fraction(int(j == i)) for j in range(self.dim)]
-                y, _ = solve(st, e)
-                if y is None:
-                    raise ValueError("ambient basis is degenerate")
-                rows.append(y)
+            # solve stack^T y = e_i for every i at once; rows of L are the y's
+            st = RationalMatrix.from_columns([m.flatten() for m in self.ambient]).transpose()
+            rows, _ = solve_many(st, [self.basis_vector(i) for i in range(self.dim)])
+            if None in rows:
+                raise ValueError("ambient basis is degenerate")
             self._coord_functional = RationalMatrix(rows)
         return self._coord_functional
 
+    def _coords_or_none(self, x: RationalMatrix):
+        """Coordinates of x through the left inverse, or None when the
+        residual shows x outside the span."""
+        coords = self.coord_functional().apply(x.flatten())
+        return coords if self.matrix_from_coords(coords) == x else None
+
     def coords_of_matrix(self, x: RationalMatrix):
         """Coordinates of an ambient matrix known to lie in the span."""
-        coords = self.coord_functional().apply(x.flatten())
-        if self.matrix_from_coords(coords) != x:
+        coords = self._coords_or_none(x)
+        if coords is None:
             raise ValueError("matrix does not lie in the span of the algebra")
         return coords
 
@@ -344,7 +345,7 @@ class NilpotentLieAlgebra:
             chain = lower_central_series(self)
             cols, depths = [], []
             for d in range(len(chain) - 1):
-                comp = _complement_in(chain[d + 1], chain[d])
+                comp = complement(chain[d + 1], chain[d])
                 cols.extend(comp)
                 depths.extend([d] * len(comp))
             w = RationalMatrix.from_columns(cols)
@@ -353,9 +354,7 @@ class NilpotentLieAlgebra:
         return self._adapted_frame
 
     def contains_matrix(self, x: RationalMatrix) -> bool:
-        if self.ambient is None:
-            raise ValueError("algebra has no ambient matrices")
-        return in_span([m.flatten() for m in self.ambient], x.flatten())
+        return self._coords_or_none(x) is not None
 
     def nilpotency_class(self) -> int:
         return max(len(lower_central_series(self)) - 1, 1)
@@ -405,17 +404,6 @@ def center(algebra: NilpotentLieAlgebra):
     return rref_basis(intersect_kernels(ads))
 
 
-def _complement_in(sub, whole):
-    """Vectors extending an RREF basis of `sub` to one of `whole` (RREF order)."""
-    out = []
-    current = list(sub)
-    for v in whole:
-        if not in_span(current, v):
-            out.append(v)
-            current.append(v)
-    return out
-
-
 def lie_closure(data: UnipotentGroupData) -> NilpotentLieAlgebra:
     """Smallest matrix Lie algebra containing the logs of the generators.
 
@@ -432,16 +420,12 @@ def lie_closure(data: UnipotentGroupData) -> NilpotentLieAlgebra:
     mats = [_unflatten(v, d) for v in span]
     frontier = list(mats)
     while frontier:
-        new = []
-        for a in mats:
-            for b in frontier:
-                c = bracket(a, b)
-                if not c.is_zero() and not in_span(span, c.flatten()):
-                    span = rref_basis(span + [c.flatten()])
-                    new.append(c)
+        new = complement(span, [bracket(a, b).flatten()
+                                for a in mats for b in frontier])
+        span = rref_basis(span + new)
         # refresh matrices from the canonical span so later solves stay small
         mats = [_unflatten(v, d) for v in span]
-        frontier = new
+        frontier = [_unflatten(v, d) for v in new]
 
     # order the canonical basis adapted to the lower central series
     basis_mats = [_unflatten(v, d) for v in span]
@@ -451,7 +435,7 @@ def lie_closure(data: UnipotentGroupData) -> NilpotentLieAlgebra:
         raise ValueError("generated group is not unipotent: bracket closure is not nilpotent")
     ordered_coords = []
     for depth in range(len(chain) - 1):
-        ordered_coords.extend(_complement_in(chain[depth + 1], chain[depth]))
+        ordered_coords.extend(complement(chain[depth + 1], chain[depth]))
     adapted = [raw.matrix_from_coords(v) for v in ordered_coords]
     return _structure_algebra(adapted, validate=True)
 
@@ -464,14 +448,11 @@ def _structure_algebra(basis_mats, validate=True) -> NilpotentLieAlgebra:
     """Structure constants of a list of independent matrices closed under bracket."""
     n = len(basis_mats)
     stack = RationalMatrix.from_columns([m.flatten() for m in basis_mats])
-    table = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = bracket(basis_mats[i], basis_mats[j])
-            coords, _ = solve(stack, c.flatten())
-            if coords is None:
-                raise ValueError("basis is not closed under brackets")
-            if any(coords):
-                table[(i, j)] = coords
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    sols, _ = solve_many(stack, [bracket(basis_mats[i], basis_mats[j]).flatten()
+                                 for i, j in pairs])
+    if None in sols:
+        raise ValueError("basis is not closed under brackets")
+    table = {pair: coords for pair, coords in zip(pairs, sols) if any(coords)}
     return NilpotentLieAlgebra(dim=n, brackets=table, ambient=basis_mats,
                                validate=validate)

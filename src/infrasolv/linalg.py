@@ -1,8 +1,15 @@
 """Exact dense linear algebra over the rationals.
 
 Everything in this package runs on Fraction entries; no floats anywhere.
-Elimination is fraction-free (Bareiss) on integer-scaled rows to keep
-intermediate entries small, with reduced fractions only at output.
+There is one elimination routine, `_bareiss`: a fraction-free forward pass
+on integer-scaled rows, which keeps intermediate entries small. Everything
+else derives from it:
+- `det` is the sign times its last pivot; `rank` and `complement` read its
+  pivot columns;
+- `_rref` adds the reduction back to the pivots, with fractions only at
+  output; `kernel`, `solve`, `solve_many`, `rref_basis`, `fixed_space` and
+  `inverse` (one reduction of [M | I]) read it, and so does
+  `actions.fixed_point_solve`, which reduces each layer as [M | I].
 """
 
 from __future__ import annotations
@@ -150,31 +157,14 @@ class RationalMatrix:
         return tuple(x for r in self.data for x in r)
 
     def det(self) -> Fraction:
+        """Sign times the last pivot of the fraction-free forward pass (Bareiss)."""
         if not self.is_square():
             raise ValueError("determinant needs a square matrix")
-        rows, scale, sign = _integerize(self.data)
-        n = self.rows
-        prev = 1
-        rows = [list(r) for r in rows]
-        for k in range(n):
-            piv = None
-            for i in range(k, n):
-                if rows[i][k]:
-                    piv = i
-                    break
-            if piv is None:
-                return Fraction(0)
-            if piv != k:
-                rows[k], rows[piv] = rows[piv], rows[k]
-                sign = -sign
-            pk = rows[k][k]
-            for i in range(k + 1, n):
-                rik = rows[i][k]
-                for j in range(k + 1, n):
-                    rows[i][j] = (pk * rows[i][j] - rik * rows[k][j]) // prev
-                rows[i][k] = 0
-            prev = pk
-        return Fraction(sign * rows[n - 1][n - 1]) * scale
+        work, scale = _integerize(self.data)
+        pivots, sign, last = _bareiss(work)
+        if len(pivots) < self.rows:
+            return Fraction(0)
+        return Fraction(sign * last) * scale
 
     def inverse(self) -> "RationalMatrix":
         if not self.is_square():
@@ -196,7 +186,7 @@ class RationalMatrix:
 
 
 def _integerize(data):
-    """Scale each row to integers. Returns (int rows, det scale, sign=1).
+    """Scale each row to integers. Returns (int rows, det scale).
 
     Row i is multiplied by the lcm of its denominators; `scale` is the
     product of the inverses, so det(original) = scale * det(int rows).
@@ -204,37 +194,37 @@ def _integerize(data):
     out = []
     scale = Fraction(1)
     for row in data:
+        row = [_frac(x) for x in row]
         m = 1
         for x in row:
             m = m * x.denominator // gcd(m, x.denominator)
         scale /= m
-        out.append([int(x * m) for x in row])
-    return out, scale, 1
+        out.append([x.numerator * (m // x.denominator) for x in row])
+    return out, scale
 
 
-def _rref(rows):
-    """Reduced row echelon form of a list of Fraction rows (in place copy).
+def _bareiss(work):
+    """Fraction-free forward elimination of integer rows, in place.
 
-    Forward pass is Bareiss on integer-scaled rows; the final normalization
-    reintroduces fractions only once. Returns (rref rows, pivot columns).
+    Every entry stays an integer minor of the input (Bareiss 1968), so the
+    divisions are exact. Returns (pivot columns, sign of the row swaps,
+    last pivot); for a square matrix of full rank, sign * last pivot is its
+    determinant.
     """
-    nr = len(rows)
-    if nr == 0:
-        return [], []
-    nc = len(rows[0])
-    work, _, _ = _integerize([[_frac(x) for x in row] for row in rows])
-    prev = 1
+    nr = len(work)
+    nc = len(work[0]) if work else 0
+    prev, sign = 1, 1
     pivots = []
     r = 0
     for c in range(nc):
-        piv = None
-        for i in range(r, nr):
-            if work[i][c]:
-                piv = i
-                break
+        if r == nr:
+            break
+        piv = next((i for i in range(r, nr) if work[i][c]), None)
         if piv is None:
             continue
-        work[r], work[piv] = work[piv], work[r]
+        if piv != r:
+            work[r], work[piv] = work[piv], work[r]
+            sign = -sign
         pk = work[r][c]
         for i in range(r + 1, nr):
             ric = work[i][c]
@@ -243,9 +233,18 @@ def _rref(rows):
         prev = pk
         pivots.append(c)
         r += 1
-        if r == nr:
-            break
-    # back substitution to reduced form, exact fractions from here on
+    return pivots, sign, prev
+
+
+def _rref(rows):
+    """Reduced row echelon form of a list of rows, and its pivot columns.
+
+    The forward pass is `_bareiss` on integer-scaled rows; the reduction
+    back to the pivots reintroduces fractions only once.
+    """
+    work, _ = _integerize(rows)
+    pivots, _, _ = _bareiss(work)
+    nr, nc, r = len(work), len(work[0]) if work else 0, len(pivots)
     ech = [[Fraction(x) for x in row] for row in work[:r]]
     for k in range(r - 1, -1, -1):
         c = pivots[k]
@@ -259,9 +258,13 @@ def _rref(rows):
     return ech, pivots
 
 
+def _pivots(rows):
+    """Pivot columns of a list of rows: the forward pass alone."""
+    return _bareiss(_integerize(rows)[0])[0]
+
+
 def rank(m: RationalMatrix) -> int:
-    _, pivots = _rref([list(r) for r in m.data])
-    return len(pivots)
+    return len(_pivots(m.data))
 
 
 def rref_basis(vectors):
@@ -269,7 +272,7 @@ def rref_basis(vectors):
 
     Returns a list of tuples; deterministic for any input order.
     """
-    vecs = [list(v) for v in vectors]
+    vecs = list(vectors)
     if not vecs:
         return []
     ech, pivots = _rref(vecs)
@@ -278,13 +281,19 @@ def rref_basis(vectors):
 
 def kernel(m: RationalMatrix):
     """Basis of the right null space, one vector per free column."""
-    ech, pivots = _rref([list(r) for r in m.data])
+    ech, pivots = _rref(m.data)
+    return _null_vectors(ech, pivots, m.cols)
+
+
+def _null_vectors(ech, pivots, n):
+    """Kernel basis of the first n columns of an RREF whose pivots there are
+    `pivots`, one vector per free column."""
     pivset = set(pivots)
     basis = []
-    for free in range(m.cols):
+    for free in range(n):
         if free in pivset:
             continue
-        v = [Fraction(0)] * m.cols
+        v = [Fraction(0)] * n
         v[free] = Fraction(1)
         for k, c in enumerate(pivots):
             v[c] = -ech[k][free]
@@ -293,15 +302,13 @@ def kernel(m: RationalMatrix):
 
 
 def solve(a: RationalMatrix, b):
-    """Solve a x = b exactly.
+    """Solve a x = b exactly, by one elimination of [a | b].
 
     Returns (particular solution or None, kernel basis of a). The kernel is
     reported even when the system is inconsistent.
     """
-    if len(b) != a.rows:
-        raise ValueError("right-hand side length mismatch")
-    sols, _ = solve_many(a, [b])
-    return sols[0], kernel(a)
+    sols, pivots, ech = _solve(a, [b])
+    return sols[0], _null_vectors(ech, pivots, a.cols)
 
 
 def solve_many(a: RationalMatrix, rhs):
@@ -312,11 +319,17 @@ def solve_many(a: RationalMatrix, rhs):
     inconsistent. pivots are the pivot columns of a, the columns that are
     not in the span of the columns before them.
     """
+    sols, pivots, _ = _solve(a, rhs)
+    return sols, pivots
+
+
+def _solve(a, rhs):
+    """(solutions, pivot columns of a, RREF of [a | rhs])."""
     rhs = list(rhs)
     if any(len(b) != a.rows for b in rhs):
         raise ValueError("right-hand side length mismatch")
     n = a.cols
-    ech, pivots = _rref([list(row) + [_frac(b[i]) for b in rhs]
+    ech, pivots = _rref([list(row) + [b[i] for b in rhs]
                          for i, row in enumerate(a.data)])
     a_pivots = [c for c in pivots if c < n]
     r = len(a_pivots)
@@ -330,17 +343,18 @@ def solve_many(a: RationalMatrix, rhs):
         for k, c in enumerate(a_pivots):
             x[c] = ech[k][j]
         sols.append(tuple(x))
-    return sols, a_pivots
+    return sols, a_pivots, ech
 
 
-def in_span(vectors, v) -> bool:
-    """Exact membership of v in the span of `vectors`."""
-    vecs = list(vectors)
-    if not vecs:
-        return all(x == 0 for x in v)
-    m = RationalMatrix.from_columns(vecs)
-    sol, _ = solve(m, v)
-    return sol is not None
+def complement(sub, whole):
+    """The vectors of `whole` outside the span of `sub` and of the vectors of
+    `whole` before them, in order: a greedy basis of span(sub + whole)
+    modulo span(sub), from the pivot columns of one elimination."""
+    sub, whole = list(sub), list(whole)
+    if not whole:
+        return []
+    ns = len(sub)
+    return [whole[c - ns] for c in _pivots(list(zip(*(sub + whole)))) if c >= ns]
 
 
 def span_equal(a_vectors, b_vectors) -> bool:

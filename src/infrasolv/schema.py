@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from .actions import GammaActionData
 from .hull import SplitHullData
@@ -46,7 +45,9 @@ def _want(obj, key, kind, path, optional=False, default=None):
     return val
 
 
-def _matrix(obj, path) -> RationalMatrix:
+def matrix(obj, path) -> RationalMatrix:
+    """A matrix given as rows of integers or fraction strings; raises
+    SchemaError naming the JSON path of the first bad entry."""
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise SchemaError(path, "expected a nonempty array of rows")
     width = len(obj[0])
@@ -72,7 +73,7 @@ def _matrix(obj, path) -> RationalMatrix:
 def _matrix_list(obj, path):
     if not isinstance(obj, list):
         raise SchemaError(path, "expected an array of matrices")
-    return tuple(_matrix(m, f"{path}[{i}]") for i, m in enumerate(obj))
+    return tuple(matrix(m, f"{path}[{i}]") for i, m in enumerate(obj))
 
 
 def _algebra(obj, path) -> NilpotentLieAlgebra:
@@ -116,9 +117,9 @@ def _gamma(obj, path, algebra) -> GammaActionData:
         if not isinstance(g, dict):
             raise SchemaError(gp, "expected an object")
         _want(g, "name", str, gp)
-        _matrix(_want(g, "translation_matrix", list, gp),
+        matrix(_want(g, "translation_matrix", list, gp),
                 f"{gp}.translation_matrix")
-        _matrix(_want(g, "hol_matrix", list, gp), f"{gp}.hol_matrix")
+        matrix(_want(g, "hol_matrix", list, gp), f"{gp}.hol_matrix")
     relators = _want(obj, "relators", list, path, optional=True, default=[])
     for i, r in enumerate(relators):
         if not isinstance(r, str):

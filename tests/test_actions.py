@@ -3,8 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from infrasolv import bundles
 from infrasolv.actions import (AffineElement, FixedPointScopeError,
-                               GammaActionData, action_degree_bound,
+                               GammaActionData, _pad, action_degree_bound,
                                apply_affine, emit_polynomial_action,
                                fixed_point_solve, freeness_check,
                                is_lie_automorphism, orbit_sample, parse_word,
@@ -12,7 +13,7 @@ from infrasolv.actions import (AffineElement, FixedPointScopeError,
 from infrasolv.hull import SplitHullData
 from infrasolv.lie import (UnipotentGroupData, lie_closure, nilp_exp,
                            unip_log)
-from infrasolv.linalg import RationalMatrix
+from infrasolv.linalg import RationalMatrix, solve
 from infrasolv.polynomial import MPoly, PolynomialMap
 
 
@@ -294,6 +295,151 @@ def test_scope_error_on_nonlinear_consistency_row():
     g = AffineElement(alg, nilp_exp(_elem(1, 2, 4)), lin, validate=False)
     with pytest.raises(FixedPointScopeError):
         fixed_point_solve(g)
+
+
+def _oracle_fixed_point(a):
+    """The descent with its own Fraction Gauss-Jordan elimination per layer,
+    as fixed_point_solve did it before it shared linalg's elimination."""
+    alg = a.algebra
+    n = alg.dim
+    if n == 0:
+        return ()
+    w, winv, wy, depth_of = alg.adapted_frame()
+    xs = [MPoly.variable(n, i) for i in range(n)]
+    fwy = [c.substitute(wy) for c in a.as_polynomial_map().components]
+    g = []
+    for i in range(n):
+        acc = -xs[i]
+        for j in range(n):
+            if winv[i, j]:
+                acc = acc + fwy[j] * winv[i, j]
+        g.append(acc)
+    templ = [None] * n
+    nparams = 0
+    for d in range(max(depth_of) + 1):
+        idx = [i for i in range(n) if depth_of[i] == d]
+        m = len(idx)
+        total = nparams + m
+        repl = []
+        for j in range(n):
+            if depth_of[j] < d:
+                repl.append(_pad(templ[j], total))
+            elif j in idx:
+                repl.append(MPoly.variable(total, nparams + idx.index(j)))
+            else:
+                repl.append(MPoly.zero(total))
+        rows, rhs = [], []
+        for i in idx:
+            coeff = [F(0)] * m
+            param_part = {}
+            for exps, c in g[i].substitute(repl).terms.items():
+                upart = exps[nparams:]
+                if any(upart):
+                    coeff[upart.index(1)] += c
+                else:
+                    param_part[exps[:nparams]] = c
+            rows.append(coeff)
+            rhs.append(-MPoly(nparams, param_part))
+        pivots = []
+        r = 0
+        for c in range(m):
+            piv = next((i for i in range(r, m) if rows[i][c]), None)
+            if piv is None:
+                continue
+            rows[r], rows[piv] = rows[piv], rows[r]
+            rhs[r], rhs[piv] = rhs[piv], rhs[r]
+            pv = rows[r][c]
+            rows[r] = [x / pv for x in rows[r]]
+            rhs[r] = rhs[r] * F(1, pv)
+            for i in range(m):
+                if i != r and rows[i][c]:
+                    f = rows[i][c]
+                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                    rhs[i] = rhs[i] - rhs[r] * f
+            pivots.append(c)
+            r += 1
+        constraints = []
+        for resid in rhs[r:]:
+            if resid.is_zero():
+                continue
+            if resid.degree() == 0:
+                return None
+            if resid.degree() > 1:
+                raise FixedPointScopeError("nonlinear consistency condition")
+            constraints.append(resid)
+        if constraints:
+            decomposed = [con.linear_decomposition() for con in constraints]
+            sol, ker = solve(RationalMatrix([lin for _, lin, _ in decomposed]),
+                             [-const for const, _, _ in decomposed])
+            if sol is None:
+                return None
+            newp = len(ker)
+            subst = []
+            for j in range(nparams):
+                p = MPoly.constant(newp, sol[j])
+                for t, kv in enumerate(ker):
+                    if kv[j]:
+                        p = p + MPoly.variable(newp, t) * kv[j]
+                subst.append(p)
+            for j in range(n):
+                if templ[j] is not None:
+                    templ[j] = templ[j].substitute(subst) if nparams else _pad(templ[j], newp)
+            rhs = [(p.substitute(subst) if nparams else _pad(p, newp)) for p in rhs]
+            nparams = newp
+        free = [c for c in range(m) if c not in pivots]
+        total = nparams + len(free)
+        for t, c in enumerate(free):
+            templ[idx[c]] = MPoly.variable(total, nparams + t)
+        for rr, c in enumerate(pivots):
+            expr = _pad(rhs[rr], total)
+            for t, fc in enumerate(free):
+                if rows[rr][fc]:
+                    expr = expr - MPoly.variable(total, nparams + t) * rows[rr][fc]
+            templ[idx[c]] = expr
+        for j in range(n):
+            if templ[j] is not None:
+                templ[j] = _pad(templ[j], total)
+        nparams = total
+    zeros = (F(0),) * nparams
+    return w.apply([templ[i].eval(zeros) for i in range(n)])
+
+
+def _outcome(solver, elem):
+    """The point, None, or the class of the exception the solver raises."""
+    try:
+        return solver(elem)
+    except (FixedPointScopeError, ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", bundles.builtin_names())
+def test_fixed_point_solve_matches_gauss_jordan_oracle_on_balls(name):
+    gamma = bundles.load(name).gamma
+    for _, elem in gamma.enumerate_ball(3):
+        assert _outcome(fixed_point_solve, elem) == _outcome(_oracle_fixed_point, elem)
+
+
+def test_fixed_point_solve_matches_gauss_jordan_oracle_at_class_three():
+    alg = _upper4_algebra()
+    d = RationalMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
+    flip = RationalMatrix.from_columns(
+        [alg.coords_of_matrix(d * b * d.inverse()) for b in alg.ambient])
+    lin = RationalMatrix([[1, 0, 0, 0, 0, 0], [0, -1, 0, 0, 0, 0],
+                          [0, 0, 1, 0, 0, 0], [0, 0, 0, -1, 0, 0],
+                          [0, 0, 0, 0, -1, 0], [0, 0, 0, 0, 0, 1]])
+    rng = random.Random(5)
+    elems = [AffineElement(alg, nilp_exp(_elem(1, 2, 4)), flip),
+             AffineElement(alg, nilp_exp(_elem(1, 2, 4)), lin, validate=False)]
+    for hol in (RationalMatrix.identity(6), flip, lin):
+        for _ in range(12):
+            u = tuple(rng.choice((F(0), F(0), F(1), F(-1, 2))) for _ in range(6))
+            elems.append(AffineElement.from_coords(alg, u, hol))
+    outcomes = set()
+    for elem in elems:
+        got = _outcome(fixed_point_solve, elem)
+        assert got == _outcome(_oracle_fixed_point, elem)
+        outcomes.add(got if got in (None, FixedPointScopeError) else "point")
+    assert outcomes == {None, FixedPointScopeError, "point"}
 
 
 # ------------------------------------------------------------------

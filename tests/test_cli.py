@@ -77,6 +77,18 @@ def test_jordan_singular(tmp_path, capsys):
     assert obj["semisimple"] == [["0", "0"], ["0", "0"]]
 
 
+@pytest.mark.parametrize("text, path", [
+    ("5", "$"), ("[1, 2]", "$"), ("[[1.5]]", "$[0][0]"), ("[[null]]", "$[0][0]"),
+    ('{"a": 1}', "$"), ('[["1/0"]]', "$[0][0]"), ("[[1, 2], [3]]", "$[1]")])
+def test_jordan_rejects_malformed_matrix_files(text, path, tmp_path, capsys):
+    p = tmp_path / "m.json"
+    p.write_text(text)
+    code, out, err = run(capsys, "jordan", str(p))
+    assert code == 2 and out == ""
+    assert f"invalid matrix: {path}:" in err
+    assert "bundle" not in err and "Traceback" not in err
+
+
 def test_hull_check_pass_and_fail(capsys):
     code, out, _ = run(capsys, "hull-check", "heisenberg")
     assert code == 0 and json.loads(out)["passed"]

@@ -203,6 +203,35 @@ def test_strong_radical_two_infinite_generators_is_bounded():
     assert any("word radius" in d for d in res.diagnostics)
 
 
+def test_strong_radical_finite_enumeration_cap_is_reported():
+    # two commuting reflections: a holonomy group of order 4
+    alg, g1, g2 = abelian2()
+    t1 = RationalMatrix([[1, 0, 0], [0, -1, 0], [0, 0, 1]])
+    t2 = RationalMatrix([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    hull = SplitHullData(alg, UnipotentGroupData(generators=(g1, g2),
+                                                 dim_ambient=3),
+                         t_generators=(t1, t2))
+    full = strong_radical_check(hull)
+    assert full.ok and full.exact and full.diagnostics == ()
+    capped = strong_radical_check(hull, joint_cap=2)
+    assert capped.ok and not capped.exact
+    assert capped.diagnostics == ("holonomy group enumeration capped at 2",)
+
+
+def test_strong_radical_collision_in_the_infinite_order_walk():
+    # t and 2t act alike on u; the holonomy has infinite order
+    alg, g1, g2 = abelian2()
+    t = RationalMatrix([[2, 1, 0], [1, 1, 0], [0, 0, 1]])
+    hull = SplitHullData(alg, UnipotentGroupData(generators=(g1, g2),
+                                                 dim_ambient=3),
+                         t_generators=(t, 2 * t))
+    assert matrix_order(hull.hol_matrices[0], finite_order_bound(2)) is None
+    res = strong_radical_check(hull)
+    assert not res.ok and res.exact
+    assert res.witness == 2 * RationalMatrix.identity(3)
+    assert "share a holonomy" in res.reason
+
+
 # ------------------------------------------------------------------
 # hull axioms and fitting labels
 

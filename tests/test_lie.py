@@ -5,10 +5,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_linalg import count_eliminations, in_span, small_fracs
 
-from infrasolv.lie import (NilpotentLieAlgebra, UnipotentGroupData, bracket,
-                           center, lie_closure, lower_central_series, nilp_exp,
-                           unip_log)
+from infrasolv.lie import (NilpotentLieAlgebra, UnipotentGroupData,
+                           _structure_algebra, bracket, center, lie_closure,
+                           lower_central_series, nilp_exp, unip_log)
 from infrasolv.linalg import RationalMatrix
 
 F = Fraction
@@ -135,3 +138,43 @@ def test_ad_matrix():
     ad1 = h.ad_matrix(h.basis_vector(0))
     assert ad1.apply(h.basis_vector(1)) == (F(0), F(0), F(1))
     assert ad1.apply(h.basis_vector(2)) == (F(0), F(0), F(0))
+
+
+def _upper4():
+    gens = []
+    for i in range(3):
+        rows = [[int(r == c or (r, c) == (i, i + 1)) for c in range(4)] for r in range(4)]
+        gens.append(M(rows))
+    return lie_closure(UnipotentGroupData(generators=tuple(gens), dim_ambient=4))
+
+
+HEIS = lie_closure(UnipotentGroupData(generators=(HEIS_X, HEIS_Y), dim_ambient=3))
+UPPER4 = _upper4()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([HEIS, UPPER4]), st.data())
+def test_property_contains_matrix_matches_in_span(alg, data):
+    d = alg.ambient[0].rows
+    coords = data.draw(st.lists(small_fracs, min_size=alg.dim, max_size=alg.dim))
+    i, j = data.draw(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)))
+    c = data.draw(small_fracs)
+    rows = [list(r) for r in alg.matrix_from_coords(coords).data]
+    rows[i][j] += c  # stays in the span when c = 0 or E_ij lies in it
+    x = M(rows)
+    assert alg.contains_matrix(x) == in_span([m.flatten() for m in alg.ambient],
+                                             x.flatten())
+
+
+@pytest.mark.parametrize("alg", [HEIS, UPPER4], ids=["heisenberg", "upper4"])
+def test_coordinates_and_structure_constants_take_one_elimination(alg, monkeypatch):
+    fresh = NilpotentLieAlgebra(alg.dim, alg.brackets, ambient=alg.ambient)
+    calls = count_eliminations(monkeypatch)
+    fresh.coord_functional()
+    assert len(calls) == 1
+    del calls[:]
+    assert fresh.contains_matrix(fresh.matrix_from_coords(range(alg.dim)))
+    assert not fresh.contains_matrix(RationalMatrix.identity(alg.ambient[0].rows))
+    assert calls == []  # the cached left inverse and its residual only
+    rebuilt = _structure_algebra(list(alg.ambient), validate=False)
+    assert len(calls) == 1 and rebuilt.brackets == alg.brackets

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infrasolv.linalg import (Poly, RationalMatrix, char_poly, fixed_space,
-                              in_span, intersect_kernels, kernel, min_poly,
+from infrasolv import linalg
+from infrasolv.linalg import (Poly, RationalMatrix, char_poly, complement,
+                              fixed_space, intersect_kernels, kernel, min_poly,
                               poly_ext_gcd, poly_gcd, poly_lcm, rank,
                               rref_basis, solve, solve_many, squarefree_part)
 
@@ -18,6 +20,42 @@ F = Fraction
 
 def M(rows):
     return RationalMatrix(rows)
+
+
+def in_span(vectors, v) -> bool:
+    """Membership of v in the span of `vectors` through `solve`: the oracle
+    for `complement` and for `NilpotentLieAlgebra.contains_matrix`."""
+    vecs = list(vectors)
+    if not vecs:
+        return all(x == 0 for x in v)
+    sol, _ = solve(RationalMatrix.from_columns(vecs), v)
+    return sol is not None
+
+
+def leibniz_det(m):
+    """det as the sum over permutations of signed products of entries."""
+    n = m.rows
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction((-1) ** inversions)
+        for i, j in enumerate(perm):
+            term *= m[i, j]
+        total += term
+    return total
+
+
+def count_eliminations(monkeypatch):
+    """A list that grows by one for every forward elimination pass."""
+    calls = []
+    original = linalg._bareiss
+
+    def counted(work):
+        calls.append(len(work))
+        return original(work)
+
+    monkeypatch.setattr(linalg, "_bareiss", counted)
+    return calls
 
 
 # ---------------------------------------------------------------- matrices
@@ -190,6 +228,49 @@ def test_property_solve_many_matches_solve(m, rhs):
     assert sols == [solve(m, b)[0] for b in rhs]
     cols = [m.column(j) for j in range(m.cols)]
     assert pivots == [j for j in range(m.cols) if not in_span(cols[:j], cols[j])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_matrices())
+def test_property_det_matches_leibniz(m):
+    assert m.det() == leibniz_det(m)
+    if m.rows > 1:
+        rows = [list(r) for r in m.data]
+        rows[0][0] = 0  # the pass must swap rows whenever column 0 has a nonzero
+        assert M(rows).det() == leibniz_det(M(rows))
+        rows[-1] = rows[0]  # a repeated row makes it singular
+        assert M(rows).det() == leibniz_det(M(rows)) == 0
+
+
+def test_det_frozen_singular_and_fractional():
+    for rows in ([[0, 0], [0, 0]], [[0, 1], [1, 0]], [["1/2", "1/3"], ["3/4", "1/2"]],
+                 [["1/2", "2/3", 1], [0, 0, "5/7"], [3, "-1/9", 0]],
+                 [[0, 0, 1], [0, 1, 0], [1, 0, 0]], [[1, 2, 3], [2, 4, 6], [1, 0, 1]]):
+        assert M(rows).det() == leibniz_det(M(rows))
+    assert M([["1/2", "1/3"], ["3/4", "1/2"]]).det() == 0
+    assert M([[0, 0, 1], [0, 1, 0], [1, 0, 0]]).det() == -1
+
+
+vectors3 = st.lists(st.tuples(small_fracs, small_fracs, small_fracs), max_size=5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(vectors3, vectors3)
+def test_property_complement_matches_greedy_in_span(sub, whole):
+    greedy = []
+    for v in whole:
+        if not in_span(sub + greedy, v):
+            greedy.append(v)
+    assert complement(sub, whole) == greedy
+
+
+def test_complement_and_rank_are_one_forward_pass(monkeypatch):
+    calls = count_eliminations(monkeypatch)
+    vs = [(F(1), F(0), F(0)), (F(2), F(0), F(0)), (F(0), F(1), F(1))]
+    assert complement(vs[:1], vs) == vs[2:]
+    assert rank(M(vs)) == 2
+    assert M([[2, 1], [1, 1]]).det() == 1
+    assert calls == [3, 3, 2]
 
 
 def test_fixed_space_is_the_canonical_joint_kernel():
