@@ -24,7 +24,8 @@ from .linalg import RationalMatrix, _frac, _rref, kernel, rank, solve
 from .polynomial import MPoly, PolynomialMap
 
 
-# Layer reductions fixed_point_solve keeps, far more than one ball's holonomies.
+# Entries each per-holonomy memo keeps (layer reductions, holonomy
+# products), far more than one ball's holonomies.
 LAYER_CACHE_SIZE = 256
 
 
@@ -106,18 +107,17 @@ class AffineElement:
     def identity(algebra) -> "AffineElement":
         n = algebra.dim
         return AffineElement.from_coords(algebra, (Fraction(0),) * n,
-                                         RationalMatrix.identity(n))
+                                         _identity(n))
 
     def is_identity(self) -> bool:
-        return (not any(self.u)
-                and self.hol == RationalMatrix.identity(self.algebra.dim))
+        return not any(self.u) and self.hol == _identity(self.algebra.dim)
 
     def compose(self, other: "AffineElement") -> "AffineElement":
         """(u, A)(v, B) = (mu(u, A v), A B): apply other first."""
         alg = self.algebra
         return AffineElement.from_coords(
             alg, alg.group_product(self.u, self.hol.apply(other.u)),
-            self.hol * other.hol)
+            _hol_product(self.hol, other.hol))
 
     def inverse(self) -> "AffineElement":
         hinv = self.hol.inverse()
@@ -152,6 +152,17 @@ class AffineElement:
 
 def apply_affine(a: AffineElement, point):
     return a.apply(point)
+
+
+@lru_cache(maxsize=LAYER_CACHE_SIZE)
+def _identity(n):
+    return RationalMatrix.identity(n)
+
+
+@lru_cache(maxsize=LAYER_CACHE_SIZE)
+def _hol_product(a, b):
+    """a b, memoized by value: a word ball meets only a few holonomies."""
+    return a * b
 
 
 # ------------------------------------------------------------------
@@ -358,17 +369,24 @@ def fixed_point_solve(a: AffineElement):
     n = alg.dim
     if n == 0:
         return ()
+    ident = _identity(n)
+    if a.hol == ident and any(a.u):
+        return None  # mu(u, x) = x means exp(u) = 1, so u = 0
     w, winv, wy, depth_of = alg.adapted_frame()
     xs = [MPoly.variable(n, i) for i in range(n)]
-    fwy = [c.substitute(wy) for c in a.as_polynomial_map().components]
-    g = []
-    for i in range(n):
-        acc = -xs[i]
-        for j in range(n):
-            c = winv[i, j]
-            if c:
-                acc = acc + fwy[j] * c
-        g.append(acc)
+    comps = a.as_polynomial_map().components
+    if w == ident:
+        g = [c - x for c, x in zip(comps, xs)]
+    else:
+        fwy = [c.substitute(wy) for c in comps]
+        g = []
+        for i in range(n):
+            acc = -xs[i]
+            for j in range(n):
+                c = winv[i, j]
+                if c:
+                    acc = acc + fwy[j] * c
+            g.append(acc)
 
     for i in range(n):  # the depth argument, checked
         for exps in g[i].terms:

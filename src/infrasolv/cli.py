@@ -1,11 +1,12 @@
 """Command line front end.
 
-Exit codes: 0 on success, 2 for unusable input (missing files, schema or
-domain validation errors, out-of-scope requests, negative radii or
---max-dim, an algebra of dimension above --max-dim), 3 when the
-input is well formed but a check fails (hull axioms, freeness, fitting
-labels), 1 when standard output is closed before the document is written
-(e.g. piped into `head`); that case prints no traceback.
+Exit codes: 0 on success, 2 for unusable input (missing or unreadable
+files and directories given as files, schema or domain validation errors,
+out-of-scope requests, negative radii or --max-dim, an algebra of dimension
+above --max-dim), 3 when the input is well formed but a check fails (hull
+axioms, freeness, fitting labels), 1 when standard output is closed before
+the document is written (e.g. piped into `head`); that case prints no
+traceback.
 
 All output is JSON with sorted keys, so identical inputs and flags produce
 byte-identical documents.
@@ -256,7 +257,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         obj, code = args.fn(args)
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except SchemaError as exc:

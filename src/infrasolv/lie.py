@@ -197,7 +197,7 @@ class NilpotentLieAlgebra:
     """
 
     __slots__ = ("dim", "labels", "brackets", "ambient", "_coord_functional",
-                 "_group_law", "_adapted_frame")
+                 "_group_law", "_law_terms", "_adapted_frame")
 
     def __init__(self, dim, brackets, labels=None, ambient=None, validate=True):
         self.dim = dim
@@ -217,6 +217,7 @@ class NilpotentLieAlgebra:
         self.ambient = tuple(ambient) if ambient is not None else None
         self._coord_functional = None
         self._group_law = None
+        self._law_terms = None
         self._adapted_frame = None
         if self.ambient is not None and len(self.ambient) != dim:
             raise ValueError("ambient basis count does not match dimension")
@@ -333,9 +334,27 @@ class NilpotentLieAlgebra:
         return self._group_law
 
     def group_product(self, x, y):
-        """Coordinates of exp(x) * exp(y) for rational coordinate vectors."""
-        point = tuple(x) + tuple(y)
-        return tuple(c.eval(point) for c in self.group_law())
+        """Coordinates of exp(x) * exp(y) for rational coordinate vectors.
+
+        Evaluates group_law() through its sparse term lists, built once:
+        per component, (coefficient, ((variable, exponent), ...)) pairs."""
+        if self._law_terms is None:
+            self._law_terms = tuple(
+                tuple((c, tuple((i, e) for i, e in enumerate(exps) if e))
+                      for exps, c in comp.terms.items())
+                for comp in self.group_law())
+        point = [_frac(c) for c in x] + [_frac(c) for c in y]
+        if len(point) != 2 * self.dim:
+            raise ValueError("point has the wrong number of coordinates")
+        out = []
+        for terms in self._law_terms:
+            total = Fraction(0)
+            for c, mono in terms:
+                for i, e in mono:
+                    c *= point[i] if e == 1 else point[i] ** e
+                total += c
+            out.append(total)
+        return tuple(out)
 
     def adapted_frame(self):
         """(W, W^-1, W y, depths): W's columns are a basis adapted to the lower
@@ -418,14 +437,18 @@ def lie_closure(data: UnipotentGroupData) -> NilpotentLieAlgebra:
     if not span:
         return NilpotentLieAlgebra(dim=0, brackets={}, ambient=[])
     mats = [_unflatten(v, d) for v in span]
-    frontier = list(mats)
-    while frontier:
-        new = complement(span, [bracket(a, b).flatten()
-                                for a in mats for b in frontier])
+    # first round: each unordered pair once; [a, a] = 0 and [b, a] = -[a, b]
+    # add nothing to the span, so the complement picks the same vectors
+    brackets = [bracket(a, b) for i, a in enumerate(mats) for b in mats[i + 1:]]
+    while True:
+        new = complement(span, [m.flatten() for m in brackets])
+        if not new:
+            break
         span = rref_basis(span + new)
         # refresh matrices from the canonical span so later solves stay small
         mats = [_unflatten(v, d) for v in span]
         frontier = [_unflatten(v, d) for v in new]
+        brackets = [bracket(a, b) for a in mats for b in frontier]
 
     # order the canonical basis adapted to the lower central series
     basis_mats = [_unflatten(v, d) for v in span]

@@ -35,7 +35,7 @@ def frac_to_str(x: Fraction) -> str:
 class RationalMatrix:
     """Immutable dense matrix with Fraction entries."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "_hash")
 
     def __init__(self, rows_of_entries):
         data = tuple(tuple(_frac(x) for x in row) for row in rows_of_entries)
@@ -47,6 +47,7 @@ class RationalMatrix:
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "rows", len(data))
         object.__setattr__(self, "cols", ncols)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *a):
         raise AttributeError("RationalMatrix is immutable")
@@ -85,7 +86,10 @@ class RationalMatrix:
         return isinstance(other, RationalMatrix) and self.data == other.data
 
     def __hash__(self):
-        return hash(self.data)
+        # computed once: matrices key memo tables and word-ball dicts
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self.data))
+        return self._hash
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in r) for r in self.data)

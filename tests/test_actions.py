@@ -5,14 +5,15 @@ import pytest
 
 from infrasolv import bundles
 from infrasolv.actions import (AffineElement, FixedPointScopeError,
-                               GammaActionData, _pad, action_degree_bound,
-                               apply_affine, emit_polynomial_action,
-                               fixed_point_solve, freeness_check,
-                               is_lie_automorphism, orbit_sample, parse_word,
+                               GammaActionData, _hol_product, _pad,
+                               action_degree_bound, apply_affine,
+                               emit_polynomial_action, fixed_point_solve,
+                               freeness_check, is_lie_automorphism,
+                               orbit_sample, parse_word,
                                right_translation_map, torus_rank)
 from infrasolv.hull import SplitHullData
-from infrasolv.lie import (UnipotentGroupData, lie_closure, nilp_exp,
-                           unip_log)
+from infrasolv.lie import (NilpotentLieAlgebra, UnipotentGroupData,
+                           lie_closure, nilp_exp, unip_log)
 from infrasolv.linalg import RationalMatrix, solve
 from infrasolv.polynomial import MPoly, PolynomialMap
 
@@ -246,6 +247,22 @@ def test_pure_translation_has_no_fixed_point():
     assert fixed_point_solve(translation(alg, 1, 0, 0)) is None
 
 
+def test_pure_translation_takes_no_polynomial_map(monkeypatch):
+    calls = []
+    original = AffineElement.as_polynomial_map
+    monkeypatch.setattr(AffineElement, "as_polynomial_map",
+                        lambda self: calls.append(self) or original(self))
+    alg, up = heisenberg(), _upper4_algebra()
+    for elem in (translation(alg, 1, 0, 0), translation(alg, 0, 0, 3),
+                 AffineElement.from_coords(up, (0, 0, 0, 0, 0, F(1, 2)),
+                                           RationalMatrix.identity(6))):
+        assert fixed_point_solve(elem) is None
+    assert calls == []
+    # u = 0: every point is fixed and the descent runs as before
+    assert fixed_point_solve(AffineElement.identity(alg)) == (F(0),) * 3
+    assert len(calls) == 1
+
+
 def test_identity_fixes_origin():
     alg = heisenberg()
     assert fixed_point_solve(AffineElement.identity(alg)) == (F(0),) * 3
@@ -440,6 +457,43 @@ def test_fixed_point_solve_matches_gauss_jordan_oracle_at_class_three():
         assert got == _outcome(_oracle_fixed_point, elem)
         outcomes.add(got if got in (None, FixedPointScopeError) else "point")
     assert outcomes == {None, FixedPointScopeError, "point"}
+
+
+def test_fixed_point_solve_matches_oracle_in_a_non_adapted_basis():
+    # centre first: the adapted frame W is a permutation, not the identity
+    e13, e12, e23 = _elem(0, 2, 3), _elem(0, 1, 3), _elem(1, 2, 3)
+    alg = NilpotentLieAlgebra(3, {(1, 2): (1, 0, 0)}, ambient=[e13, e12, e23])
+    assert alg.adapted_frame()[0] != RationalMatrix.identity(3)
+    rng = random.Random(7)
+    hols = (RationalMatrix.identity(3),
+            RationalMatrix([[1, 0, 0], [0, -1, 0], [0, 0, -1]]),
+            RationalMatrix([[-1, 0, 0], [0, 0, 1], [0, 1, 0]]))
+    outcomes = set()
+    for hol in hols:
+        assert is_lie_automorphism(alg, hol)
+        for _ in range(10):
+            u = tuple(rng.choice((F(0), F(1), F(-1, 2))) for _ in range(3))
+            elem = AffineElement.from_coords(alg, u, hol)
+            got = _outcome(fixed_point_solve, elem)
+            assert got == _outcome(_oracle_fixed_point, elem)
+            outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("name", ["hantzsche_wendt", "sol3"])
+def test_ball_walk_multiplies_each_holonomy_letter_pair_once(name, monkeypatch):
+    gamma = bundles.load(name).gamma
+    letters = {h for g in gamma.generators.values() for h in (g.hol, g.inverse().hol)}
+    _hol_product.cache_clear()
+    calls = []
+    original = RationalMatrix.__mul__
+    monkeypatch.setattr(RationalMatrix, "__mul__",
+                        lambda a, b: calls.append(1) or original(a, b))
+    ball = list(gamma.enumerate_ball(3))
+    # the walk composes the elements of words shorter than 3 with every letter
+    inner = {elem.hol for word, elem in ball if len(word.split()) < 3}
+    pairs = {(h, letter) for h in inner for letter in letters}
+    assert 0 < len(calls) <= len(pairs) < len(ball)
 
 
 # ------------------------------------------------------------------

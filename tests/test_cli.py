@@ -89,6 +89,19 @@ def test_jordan_rejects_malformed_matrix_files(text, path, tmp_path, capsys):
     assert "bundle" not in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, target", [
+    (["validate"], "dir"), (["report"], "dir"), (["jordan"], "dir"),
+    (["jordan"], "below a file")])
+def test_unreadable_paths_are_bad_input(argv, target, tmp_path, capsys):
+    path = tmp_path
+    if target == "below a file":
+        (tmp_path / "m.json").write_text("[[1]]")
+        path = tmp_path / "m.json" / "x.json"  # opening it fails: not a directory
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(path) in err
+
+
 def test_hull_check_pass_and_fail(capsys):
     code, out, _ = run(capsys, "hull-check", "heisenberg")
     assert code == 0 and json.loads(out)["passed"]

@@ -120,3 +120,25 @@ def test_class_three_law_matches_ambient_products():
             "c": AffineElement(alg, nilp_exp(alg.matrix_from_coords(coords)), flip)}
     assert any(max(e) > 1 for comp in alg.group_law() for e in comp.terms)
     _check_words(GammaActionData(alg, gens), rng)
+
+
+def _upper4():
+    steps = tuple(nilp_exp(RationalMatrix([[int((r, c) == (i, i + 1)) for c in range(4)]
+                                           for r in range(4)])) for i in range(3))
+    return lie_closure(UnipotentGroupData(generators=steps, dim_ambient=4))
+
+
+@pytest.mark.parametrize("name", bundles.builtin_names() + ["upper4"])
+def test_group_product_matches_law_polynomials(name):
+    # the reference is the law evaluated one MPoly component at a time
+    alg = _upper4() if name == "upper4" else bundles.load(name).hull.algebra
+    rng = random.Random(f"{SEED}-product-{name}")
+    for _ in range(10):
+        x, y = (tuple(F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(alg.dim))
+                for _ in range(2))
+        want = tuple(c.eval(x + y) for c in alg.group_law())
+        assert alg.group_product(x, y) == want
+        assert alg.group_product(list(map(int, x)), y) == tuple(
+            c.eval(tuple(map(int, x)) + y) for c in alg.group_law())
+    with pytest.raises(ValueError):
+        alg.group_product(x, y[1:])

@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_linalg import count_eliminations, in_span, small_fracs
 
+from infrasolv import bundles, lie
 from infrasolv.lie import (NilpotentLieAlgebra, UnipotentGroupData,
-                           _structure_algebra, bracket, center, lie_closure,
-                           lower_central_series, nilp_exp, unip_log)
-from infrasolv.linalg import RationalMatrix
+                           _structure_algebra, _unflatten, bracket, center,
+                           lie_closure, lower_central_series, nilp_exp,
+                           unip_log)
+from infrasolv.linalg import RationalMatrix, complement, rref_basis
 
 F = Fraction
 
@@ -50,6 +52,44 @@ def test_log_of_commuting_product_adds():
     g = M([[1, 3], [0, 1]])
     h = M([[1, "1/2"], [0, 1]])
     assert unip_log(g * h) == unip_log(g) + unip_log(h)
+
+
+def _oracle_closure_span(data):
+    """The saturation with every (span, frontier) pair bracketed, [a, a]
+    and both [a, b] and [b, a] included: the reference for lie_closure."""
+    d = data.dim_ambient
+    span = rref_basis([unip_log(g).flatten() for g in data.generators
+                       if not unip_log(g).is_zero()])
+    frontier = list(span)
+    while frontier:
+        mats = [_unflatten(v, d) for v in span]
+        new = complement(span, [bracket(a, _unflatten(v, d)).flatten()
+                                for a in mats for v in frontier])
+        span = rref_basis(span + new)
+        frontier = new
+    return span
+
+
+def test_lie_closure_brackets_each_first_round_pair_once(monkeypatch):
+    gens = tuple(M([[int(r == c or (r, c) == (i, i + 1)) for c in range(4)]
+                    for r in range(4)]) for i in range(3))
+    data = UnipotentGroupData(generators=gens, dim_ambient=4)
+    calls = []
+    monkeypatch.setattr(lie, "bracket", lambda a, b: calls.append(1) or bracket(a, b))
+    alg = lie_closure(data)
+    assert alg.dim == 6
+    # rounds: the 3 logs pairwise (3, not 9), 5 x 2 new, 6 x 1 new; then
+    # 15 pairs each for the raw and adapted structure constants and the
+    # validation of the adapted ambient brackets
+    assert len(calls) == 3 + 10 + 6 + 3 * 15
+
+
+@pytest.mark.parametrize("name", bundles.builtin_names())
+def test_lie_closure_span_matches_all_pairs_oracle(name):
+    data = bundles.load(name).hull.u_data
+    alg = lie_closure(data)
+    assert (rref_basis([m.flatten() for m in alg.ambient])
+            == _oracle_closure_span(data))
 
 
 def test_lie_closure_single_generator():

@@ -116,6 +116,18 @@ def test_matrix_power_and_hash():
     assert hash(a) == hash(M([[1, 1], [0, 1]]))
 
 
+def test_equal_matrices_hash_equal_and_stay_immutable():
+    a = M([[1, F(1, 2)], [0, -1]])
+    b = M([["1", "1/2"], ["0", "-1"]])
+    c = RationalMatrix.identity(2) * a
+    assert hash(a) == hash(a) == hash(b) == hash(c) == hash(a.data)
+    assert len({a, b, c}) == 1 and a != M([[1, F(1, 2)], [0, 1]])
+    for name in ("data", "rows", "cols", "_hash"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+    assert hash(a) == hash(b.data) and a == b
+
+
 def test_span_helpers():
     vs = [(F(1), F(0)), (F(1), F(1))]
     assert in_span(vs, (F(3), F(2)))
