@@ -11,6 +11,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from test_actions import _upper4_algebra
 
 from infrasolv import bundles
 from infrasolv.actions import AffineElement, GammaActionData
@@ -122,16 +123,10 @@ def test_class_three_law_matches_ambient_products():
     _check_words(GammaActionData(alg, gens), rng)
 
 
-def _upper4():
-    steps = tuple(nilp_exp(RationalMatrix([[int((r, c) == (i, i + 1)) for c in range(4)]
-                                           for r in range(4)])) for i in range(3))
-    return lie_closure(UnipotentGroupData(generators=steps, dim_ambient=4))
-
-
 @pytest.mark.parametrize("name", bundles.builtin_names() + ["upper4"])
 def test_group_product_matches_law_polynomials(name):
     # the reference is the law evaluated one MPoly component at a time
-    alg = _upper4() if name == "upper4" else bundles.load(name).hull.algebra
+    alg = _upper4_algebra() if name == "upper4" else bundles.load(name).hull.algebra
     rng = random.Random(f"{SEED}-product-{name}")
     for _ in range(10):
         x, y = (tuple(F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(alg.dim))
