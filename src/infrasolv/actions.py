@@ -214,14 +214,13 @@ class GammaActionData:
     __slots__ = ("algebra", "generators", "relators", "hirsch_rank", "fitting_labels")
 
     def __init__(self, algebra, generators, relators=(), hirsch_rank=None,
-                 fitting_labels=(), validate=True):
+                 fitting_labels=()):
         self.algebra = algebra
         self.generators = dict(generators)
         self.relators = tuple(relators)
         self.hirsch_rank = algebra.dim if hirsch_rank is None else hirsch_rank
         self.fitting_labels = tuple(fitting_labels)
-        if validate:
-            self.validate()
+        self.validate()
 
     def validate(self):
         for name in self.fitting_labels:
@@ -286,21 +285,6 @@ class GammaActionData:
                 "relators": list(self.relators),
                 "hirsch_rank": self.hirsch_rank,
                 "fitting_labels": list(self.fitting_labels)}
-
-    @staticmethod
-    def from_json(algebra, obj, validate=True) -> "GammaActionData":
-        gens = {}
-        for g in obj["generators"]:
-            gens[g["name"]] = AffineElement(
-                algebra,
-                RationalMatrix.from_json(g["translation_matrix"]),
-                RationalMatrix.from_json(g["hol_matrix"]),
-                validate=validate)
-        return GammaActionData(algebra, gens,
-                               relators=obj.get("relators", ()),
-                               hirsch_rank=obj.get("hirsch_rank"),
-                               fitting_labels=obj.get("fitting_labels", ()),
-                               validate=validate)
 
 
 def emit_polynomial_action(gdata: GammaActionData):
@@ -369,24 +353,15 @@ def fixed_point_solve(a: AffineElement):
     n = alg.dim
     if n == 0:
         return ()
-    ident = _identity(n)
-    if a.hol == ident and any(a.u):
+    if a.hol == _identity(n) and any(a.u):
         return None  # mu(u, x) = x means exp(u) = 1, so u = 0
-    w, winv, wy, depth_of = alg.adapted_frame()
-    xs = [MPoly.variable(n, i) for i in range(n)]
-    comps = a.as_polynomial_map().components
-    if w == ident:
-        g = [c - x for c, x in zip(comps, xs)]
-    else:
-        fwy = [c.substitute(wy) for c in comps]
-        g = []
-        for i in range(n):
-            acc = -xs[i]
-            for j in range(n):
-                c = winv[i, j]
-                if c:
-                    acc = acc + fwy[j] * c
-            g.append(acc)
+    # the descent runs on the same element in the adapted basis:
+    # (W^-1 u, W^-1 A W) in the algebra whose layers are coordinate slices
+    w, winv, depth_of, adapted = alg.adapted_frame()
+    elem = a if adapted is alg else AffineElement.from_coords(
+        adapted, winv.apply(a.u), winv * a.hol * w)
+    g = [c - MPoly.variable(n, i)
+         for i, c in enumerate(elem.as_polynomial_map().components)]
 
     for i in range(n):  # the depth argument, checked
         for exps in g[i].terms:

@@ -45,20 +45,21 @@ class SplitHullData:
 
     __slots__ = ("algebra", "u_data", "t_generators", "hol_matrices")
 
-    def __init__(self, algebra, u_data, t_generators=(), hol_matrices=None,
-                 validate=True):
+    def __init__(self, algebra, u_data, t_generators=(), hol_matrices=None):
         self.algebra = algebra
         self.u_data = u_data
         self.t_generators = tuple(t_generators)
-        if hol_matrices is None:
+        given = hol_matrices is not None
+        if given:
+            self.hol_matrices = tuple(hol_matrices)
+        else:
             self.hol_matrices = tuple(hol_from_ambient(algebra, t)
                                       for t in self.t_generators)
-        else:
-            self.hol_matrices = tuple(hol_matrices)
-        if validate:
-            self._validate()
+        self._validate(compare_hol=given)
 
-    def _validate(self):
+    def _validate(self, compare_hol):
+        """U's generators are already unipotent (UnipotentGroupData); T's
+        conjugation is recomputed only to compare it with given hol matrices."""
         if self.algebra.dim == 0:
             raise ValueError("hull data needs a positive-dimensional unipotent part")
         d = self.algebra.ambient[0].rows
@@ -74,7 +75,7 @@ class SplitHullData:
                 raise ValueError(f"T generator {i} has wrong ambient size")
             if not is_semisimple(t):
                 raise ValueError(f"T generator {i} is not semisimple")
-            if hol_from_ambient(self.algebra, t) != self.hol_matrices[i]:
+            if compare_hol and hol_from_ambient(self.algebra, t) != self.hol_matrices[i]:
                 raise ValueError(f"hol matrix {i} disagrees with ambient conjugation")
             if not is_lie_automorphism(self.algebra, self.hol_matrices[i]):
                 raise ValueError(f"hol matrix {i} is not a Lie algebra automorphism")
@@ -92,25 +93,6 @@ class SplitHullData:
                 "u_generators": [g.to_json() for g in self.u_data.generators],
                 "t_generators": [t.to_json() for t in self.t_generators],
                 "hol_matrices": [h.to_json() for h in self.hol_matrices]}
-
-    @staticmethod
-    def from_json(obj, validate=True) -> "SplitHullData":
-        algebra = NilpotentLieAlgebra.from_json(obj["lie_algebra"])
-        if algebra.ambient is None:
-            raise ValueError("hull lie_algebra needs ambient matrices")
-        d = algebra.ambient[0].rows if algebra.ambient else 0
-        u_data = UnipotentGroupData(
-            generators=tuple(RationalMatrix.from_json(g)
-                             for g in obj.get("u_generators", [])),
-            dim_ambient=d)
-        hols = obj.get("hol_matrices")
-        return SplitHullData(
-            algebra, u_data,
-            t_generators=tuple(RationalMatrix.from_json(t)
-                               for t in obj.get("t_generators", [])),
-            hol_matrices=None if hols is None
-            else tuple(RationalMatrix.from_json(h) for h in hols),
-            validate=validate)
 
 
 def alpha_T(hull: SplitHullData, u: RationalMatrix, t_word=()) -> AffineElement:

@@ -3,8 +3,9 @@
 A NilpotentLieAlgebra is an abstract structure-constant algebra, optionally
 carrying the ambient matrices its basis came from. lie_closure builds one
 from unipotent group generators: take logs, saturate under brackets, then
-pick a canonical basis adapted to the lower central series (depth-1
-complement first), so quotient layers are coordinate slices.
+pass to the algebra's adapted frame, a canonical basis adapted to the lower
+central series (depth-1 complement first), so quotient layers are
+coordinate slices.
 """
 
 from __future__ import annotations
@@ -19,15 +20,18 @@ from .polynomial import MPoly
 
 
 def unip_log(g: RationalMatrix) -> RationalMatrix:
-    """Logarithm of a unipotent matrix: finite Mercator series in (g - I)."""
-    if not is_unipotent(g):
-        raise ValueError("matrix is not unipotent")
+    """Logarithm of a unipotent matrix: finite Mercator series in (g - I).
+
+    Raises when (g - I)^n, n = g.rows, is not zero, so the series is the
+    unipotence check."""
     n = g.rows
     nil = g - RationalMatrix.identity(n)
     acc = RationalMatrix.zero(n, n)
     power = nil
     k = 1
     while not power.is_zero():
+        if k == n:
+            raise ValueError("matrix is not unipotent")
         acc = acc + power.scale(Fraction((-1) ** (k + 1), k))
         power = power * nil
         k += 1
@@ -35,17 +39,20 @@ def unip_log(g: RationalMatrix) -> RationalMatrix:
 
 
 def nilp_exp(x: RationalMatrix) -> RationalMatrix:
-    """Exponential of a nilpotent matrix: finite series, exact factorials."""
+    """Exponential of a nilpotent matrix: finite series, exact factorials.
+
+    Raises when x^n, n = x.rows, is not zero, so the series is the
+    nilpotence check."""
     if not x.is_square():
         raise ValueError("exponential needs a square matrix")
     n = x.rows
-    if not (x ** n).is_zero():
-        raise ValueError("matrix is not nilpotent")
     acc = RationalMatrix.identity(n)
     power = x
     fact = 1
     k = 1
     while not power.is_zero():
+        if k == n:
+            raise ValueError("matrix is not nilpotent")
         fact *= k
         acc = acc + power.scale(Fraction(1, fact))
         power = power * x
@@ -180,12 +187,6 @@ class UnipotentGroupData:
     def to_json(self):
         return {"dim_ambient": self.dim_ambient,
                 "generators": [g.to_json() for g in self.generators]}
-
-    @staticmethod
-    def from_json(obj) -> "UnipotentGroupData":
-        return UnipotentGroupData(
-            generators=tuple(RationalMatrix.from_json(g) for g in obj["generators"]),
-            dim_ambient=obj["dim_ambient"])
 
 
 class NilpotentLieAlgebra:
@@ -357,9 +358,14 @@ class NilpotentLieAlgebra:
         return tuple(out)
 
     def adapted_frame(self):
-        """(W, W^-1, W y, depths): W's columns are a basis adapted to the lower
-        central series, depths[k] the layer of column k, W y the change of
-        coordinates as polynomials in y. Computed once."""
+        """(W, W^-1, depths, adapted), computed once.
+
+        W's columns are a basis adapted to the lower central series: greedy
+        complements, depth 0 first; depths[k] is the layer of column k.
+        `adapted` is this algebra in that basis, its brackets W^-1 [W e_k,
+        W e_l] by change of basis, so its quotient layers are coordinate
+        slices; it is the algebra itself when W = I. A change of basis of
+        a valid algebra, it is not validated again."""
         if self._adapted_frame is None:
             chain = lower_central_series(self)
             cols, depths = [], []
@@ -368,8 +374,16 @@ class NilpotentLieAlgebra:
                 cols.extend(comp)
                 depths.extend([d] * len(comp))
             w = RationalMatrix.from_columns(cols)
-            self._adapted_frame = (w, w.inverse(), tuple(_linear_polys(w)),
-                                   tuple(depths))
+            winv = w.inverse()
+            adapted = self
+            if w != RationalMatrix.identity(self.dim):
+                table = {(k, l): winv.apply(self.bracket_coords(cols[k], cols[l]))
+                         for k in range(self.dim) for l in range(k + 1, self.dim)}
+                ambient = (None if self.ambient is None
+                           else [self.matrix_from_coords(c) for c in cols])
+                adapted = NilpotentLieAlgebra(self.dim, table, ambient=ambient,
+                                              validate=False)
+            self._adapted_frame = (w, winv, tuple(depths), adapted)
         return self._adapted_frame
 
     def contains_matrix(self, x: RationalMatrix) -> bool:
@@ -385,15 +399,6 @@ class NilpotentLieAlgebra:
         if self.ambient is not None:
             out["ambient"] = [m.to_json() for m in self.ambient]
         return out
-
-    @staticmethod
-    def from_json(obj) -> "NilpotentLieAlgebra":
-        brackets = {(i, j): tuple(_frac(c) for c in vec) for i, j, vec in obj["brackets"]}
-        ambient = None
-        if obj.get("ambient") is not None:
-            ambient = [RationalMatrix.from_json(m) for m in obj["ambient"]]
-        return NilpotentLieAlgebra(dim=obj["dim"], brackets=brackets,
-                                   labels=obj.get("labels"), ambient=ambient)
 
 
 def lower_central_series(algebra: NilpotentLieAlgebra):
@@ -450,25 +455,20 @@ def lie_closure(data: UnipotentGroupData) -> NilpotentLieAlgebra:
         frontier = [_unflatten(v, d) for v in new]
         brackets = [bracket(a, b) for a in mats for b in frontier]
 
-    # order the canonical basis adapted to the lower central series
-    basis_mats = [_unflatten(v, d) for v in span]
-    raw = _structure_algebra(basis_mats, validate=False)
-    chain = lower_central_series(raw)
-    if chain[-1]:
+    raw = _structure_algebra([_unflatten(v, d) for v in span])
+    if lower_central_series(raw)[-1]:
         raise ValueError("generated group is not unipotent: bracket closure is not nilpotent")
-    ordered_coords = []
-    for depth in range(len(chain) - 1):
-        ordered_coords.extend(complement(chain[depth + 1], chain[depth]))
-    adapted = [raw.matrix_from_coords(v) for v in ordered_coords]
-    return _structure_algebra(adapted, validate=True)
+    # the canonical basis reordered along the lower central series
+    return raw.adapted_frame()[3]
 
 
 def _unflatten(vec, d) -> RationalMatrix:
     return RationalMatrix([vec[i * d:(i + 1) * d] for i in range(d)])
 
 
-def _structure_algebra(basis_mats, validate=True) -> NilpotentLieAlgebra:
-    """Structure constants of a list of independent matrices closed under bracket."""
+def _structure_algebra(basis_mats) -> NilpotentLieAlgebra:
+    """Structure constants of a list of independent matrices closed under
+    bracket; exact solves, so the result needs no validation."""
     n = len(basis_mats)
     stack = RationalMatrix.from_columns([m.flatten() for m in basis_mats])
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -478,4 +478,4 @@ def _structure_algebra(basis_mats, validate=True) -> NilpotentLieAlgebra:
         raise ValueError("basis is not closed under brackets")
     table = {pair: coords for pair, coords in zip(pairs, sols) if any(coords)}
     return NilpotentLieAlgebra(dim=n, brackets=table, ambient=basis_mats,
-                               validate=validate)
+                               validate=False)

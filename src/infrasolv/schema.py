@@ -1,8 +1,11 @@
-"""Loading and validation of bundle files.
+"""The one decoder of bundle files.
 
 A bundle carries one group action: the split hull data and the acting
-group's generators, relators, and labels. Validation reports the JSON path
-of the offending entry, then domain constructors re-check the mathematics.
+group's generators, relators, and labels. This module is the only code that
+knows the bundle's JSON layout. It parses each matrix once, reports the JSON
+path of the first malformed entry, and passes the parsed values to the
+domain constructors, which check the mathematics once. The objects'
+`to_json` methods write the same layout back.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .actions import GammaActionData
+from .actions import AffineElement, GammaActionData
 from .hull import SplitHullData
 from .lie import NilpotentLieAlgebra, UnipotentGroupData
 from .linalg import RationalMatrix
@@ -33,16 +36,35 @@ class Bundle:
     expect: dict = field(default_factory=dict)
 
 
+def _is_int(val) -> bool:
+    """JSON integers only: `true` and `false` are not integers here."""
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
 def _want(obj, key, kind, path, optional=False, default=None):
     if key not in obj:
         if optional:
             return default
         raise SchemaError(path, f"missing key '{key}'")
     val = obj[key]
-    if kind is not None and not isinstance(val, kind):
+    if not (_is_int(val) if kind is int else isinstance(val, kind)):
         raise SchemaError(f"{path}.{key}",
                           f"expected {kind.__name__}, got {type(val).__name__}")
     return val
+
+
+def _row(entries, path):
+    """Fractions of a list of integers or fraction strings."""
+    out = []
+    for j, entry in enumerate(entries):
+        if not (_is_int(entry) or isinstance(entry, str)):
+            raise SchemaError(f"{path}[{j}]",
+                              "entries must be integers or fraction strings")
+        try:
+            out.append(Fraction(entry))
+        except (ValueError, ZeroDivisionError):
+            raise SchemaError(f"{path}[{j}]", f"not a fraction: {entry!r}") from None
+    return out
 
 
 def matrix(obj, path) -> RationalMatrix:
@@ -51,22 +73,14 @@ def matrix(obj, path) -> RationalMatrix:
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise SchemaError(path, "expected a nonempty array of rows")
     width = len(obj[0])
+    rows = []
     for i, row in enumerate(obj):
         if len(row) != width:
             raise SchemaError(f"{path}[{i}]", "ragged rows")
-        for j, entry in enumerate(row):
-            if not isinstance(entry, (str, int)):
-                raise SchemaError(f"{path}[{i}][{j}]",
-                                  "entries must be integers or fraction strings")
-            if isinstance(entry, str):
-                try:
-                    Fraction(entry)
-                except (ValueError, ZeroDivisionError):
-                    raise SchemaError(f"{path}[{i}][{j}]",
-                                      f"not a fraction: {entry!r}") from None
+        rows.append(_row(row, f"{path}[{i}]"))
     try:
-        return RationalMatrix.from_json(obj)
-    except (ValueError, ZeroDivisionError) as exc:
+        return RationalMatrix(rows)
+    except ValueError as exc:
         raise SchemaError(path, str(exc)) from None
 
 
@@ -76,16 +90,36 @@ def _matrix_list(obj, path):
     return tuple(matrix(m, f"{path}[{i}]") for i, m in enumerate(obj))
 
 
+def _brackets(obj, path):
+    """{(i, j): coefficients} from the [i, j, [c, ...]] triples."""
+    table = {}
+    for k, triple in enumerate(_want(obj, "brackets", list, path)):
+        tp = f"{path}.brackets[{k}]"
+        try:
+            i, j, coeffs = triple
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(path, f"algebra rejected: {exc}") from None
+        for pos, index in enumerate((i, j)):
+            if not _is_int(index):
+                raise SchemaError(f"{tp}[{pos}]", "expected an integer index")
+        if not isinstance(coeffs, list):
+            raise SchemaError(f"{tp}[2]", "expected an array of coefficients")
+        table[(i, j)] = _row(coeffs, f"{tp}[2]")
+    return table
+
+
 def _algebra(obj, path) -> NilpotentLieAlgebra:
     if not isinstance(obj, dict):
         raise SchemaError(path, "expected an object")
-    _want(obj, "dim", int, path)
+    dim = _want(obj, "dim", int, path)
     if "ambient" not in obj:
         raise SchemaError(path, "missing key 'ambient'")
-    _matrix_list(obj["ambient"], f"{path}.ambient")
+    ambient = _matrix_list(obj["ambient"], f"{path}.ambient")
+    brackets = _brackets(obj, path)
     try:
-        return NilpotentLieAlgebra.from_json(obj)
-    except (ValueError, KeyError, TypeError) as exc:
+        return NilpotentLieAlgebra(dim, brackets, labels=obj.get("labels"),
+                                   ambient=ambient)
+    except (ValueError, TypeError) as exc:
         raise SchemaError(path, f"algebra rejected: {exc}") from None
 
 
@@ -111,25 +145,25 @@ def _hull(obj, path) -> SplitHullData:
 def _gamma(obj, path, algebra) -> GammaActionData:
     if not isinstance(obj, dict):
         raise SchemaError(path, "expected an object")
-    gens = _want(obj, "generators", list, path)
-    for i, g in enumerate(gens):
+    gens = []
+    for i, g in enumerate(_want(obj, "generators", list, path)):
         gp = f"{path}.generators[{i}]"
         if not isinstance(g, dict):
             raise SchemaError(gp, "expected an object")
-        _want(g, "name", str, gp)
-        matrix(_want(g, "translation_matrix", list, gp),
-                f"{gp}.translation_matrix")
-        matrix(_want(g, "hol_matrix", list, gp), f"{gp}.hol_matrix")
+        gens.append((_want(g, "name", str, gp),
+                     matrix(_want(g, "translation_matrix", list, gp),
+                            f"{gp}.translation_matrix"),
+                     matrix(_want(g, "hol_matrix", list, gp), f"{gp}.hol_matrix")))
     relators = _want(obj, "relators", list, path, optional=True, default=[])
     for i, r in enumerate(relators):
         if not isinstance(r, str):
             raise SchemaError(f"{path}.relators[{i}]", "expected a word string")
-    _want(obj, "hirsch_rank", int, path, optional=True)
+    hirsch_rank = _want(obj, "hirsch_rank", int, path, optional=True)
     labels = _want(obj, "fitting_labels", list, path, optional=True, default=[])
     for i, lab in enumerate(labels):
         if not isinstance(lab, str):
             raise SchemaError(f"{path}.fitting_labels[{i}]", "expected a string")
-    names = [g["name"] for g in gens]
+    names = [name for name, _, _ in gens]
     if len(set(names)) != len(names):
         raise SchemaError(f"{path}.generators", "duplicate generator names")
     unknown = [lab for lab in labels if lab not in names]
@@ -137,7 +171,9 @@ def _gamma(obj, path, algebra) -> GammaActionData:
         raise SchemaError(f"{path}.fitting_labels",
                           f"labels {unknown} name no generator")
     try:
-        return GammaActionData.from_json(algebra, obj)
+        return GammaActionData(
+            algebra, {name: AffineElement(algebra, t, hol) for name, t, hol in gens},
+            relators=relators, hirsch_rank=hirsch_rank, fitting_labels=labels)
     except ValueError as exc:
         raise SchemaError(path, f"group data rejected: {exc}") from None
 

@@ -13,9 +13,10 @@ from infrasolv.actions import (AffineElement, FixedPointScopeError,
                                right_translation_map, torus_rank)
 from infrasolv.hull import SplitHullData
 from infrasolv.lie import (NilpotentLieAlgebra, UnipotentGroupData,
-                           lie_closure, nilp_exp, unip_log)
+                           _linear_polys, lie_closure, nilp_exp, unip_log)
 from infrasolv.linalg import RationalMatrix, solve
 from infrasolv.polynomial import MPoly, PolynomialMap
+from infrasolv.schema import load_bundle
 
 
 def _elem(i, j, n):
@@ -217,8 +218,13 @@ def test_enumerate_ball_counts_and_identity_first():
 
 def test_gamma_json_round_trip():
     data = _klein_data()
-    obj = data.to_json()
-    back = GammaActionData.from_json(data.algebra, obj)
+    t = RationalMatrix([[1, 0, 0], [0, -1, 0], [0, 0, 1]])
+    u_data = UnipotentGroupData(
+        generators=tuple(g.translation for g in data.generators.values()),
+        dim_ambient=3)
+    hull = SplitHullData(data.algebra, u_data, t_generators=(t,))
+    back = load_bundle({"name": "klein", "hull": hull.to_json(),
+                        "gamma": data.to_json()}).gamma
     assert set(back.generators) == {"b", "g"}
     assert back.generators["g"] == data.generators["g"]
     assert back.relators == data.relators
@@ -316,12 +322,15 @@ def test_scope_error_on_nonlinear_consistency_row():
 
 def _oracle_fixed_point(a):
     """The descent with its own Fraction Gauss-Jordan elimination per layer,
-    as fixed_point_solve did it before it shared linalg's elimination."""
+    as fixed_point_solve did it before it shared linalg's elimination, on
+    the element's own map with W y substituted, not on the element in the
+    adapted basis."""
     alg = a.algebra
     n = alg.dim
     if n == 0:
         return ()
-    w, winv, wy, depth_of = alg.adapted_frame()
+    w, winv, depth_of, _ = alg.adapted_frame()
+    wy = _linear_polys(w)
     xs = [MPoly.variable(n, i) for i in range(n)]
     fwy = [c.substitute(wy) for c in a.as_polynomial_map().components]
     g = []
@@ -478,6 +487,25 @@ def test_fixed_point_solve_matches_oracle_in_a_non_adapted_basis():
             assert got == _outcome(_oracle_fixed_point, elem)
             outcomes.add(got is None)
     assert outcomes == {True, False}
+
+
+def test_descent_in_the_adapted_basis_substitutes_once_per_component(monkeypatch):
+    e13, e12, e23 = _elem(0, 2, 3), _elem(0, 1, 3), _elem(1, 2, 3)
+    alg = NilpotentLieAlgebra(3, {(1, 2): (1, 0, 0)}, ambient=[e13, e12, e23])
+    hol = RationalMatrix([[1, 0, 0], [0, -1, 0], [0, 0, -1]])
+    elem = AffineElement.from_coords(alg, (F(0), F(1), F(0)), hol)
+    fixed_point_solve(AffineElement.from_coords(alg, (F(1), F(0), F(0)), hol))
+    calls = []
+    original = MPoly.substitute
+    monkeypatch.setattr(MPoly, "substitute",
+                        lambda self, args: calls.append(1) or original(self, args))
+    assert fixed_point_solve(elem) == (F(0), F(1, 2), F(0))
+    # 3 for the law at the element, 3 for the layer equations; the W y
+    # route of the oracle adds 3 more
+    assert len(calls) == 6
+    del calls[:]
+    assert _oracle_fixed_point(elem) == (F(0), F(1, 2), F(0))
+    assert len(calls) == 9
 
 
 @pytest.mark.parametrize("name", ["hantzsche_wendt", "sol3"])

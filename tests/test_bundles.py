@@ -2,10 +2,12 @@
 
 import copy
 import json
+import sys
 
 import pytest
 
-from infrasolv import bundles
+from infrasolv import bundles, hull, jordan, schema
+from infrasolv.linalg import RationalMatrix
 from infrasolv.schema import SchemaError, load_bundle
 
 EXPECT_KEYS = {"free", "axioms", "betti", "invariant_betti", "torus_rank",
@@ -110,3 +112,61 @@ def test_schema_rejects_broken_relator(good):
     bad["gamma"]["relators"].append("x y")
     with pytest.raises(SchemaError):
         load_bundle(bad)
+
+
+@pytest.mark.parametrize("where, value, path", [
+    (("gamma", "generators", 0, "translation_matrix", 0, 1), True,
+     "$.gamma.generators[0].translation_matrix[0][1]"),
+    (("hull", "u_generators", 1, 2, 2), True, "$.hull.u_generators[1][2][2]"),
+    (("hull", "lie_algebra", "brackets", 0, 2, 2), True,
+     "$.hull.lie_algebra.brackets[0][2][2]"),
+    (("hull", "lie_algebra", "brackets", 0, 0), False,
+     "$.hull.lie_algebra.brackets[0][0]"),
+    (("hull", "lie_algebra", "brackets", 0, 1), True,
+     "$.hull.lie_algebra.brackets[0][1]"),
+    (("hull", "lie_algebra", "dim"), True, "$.hull.lie_algebra.dim"),
+    (("gamma", "hirsch_rank"), True, "$.gamma.hirsch_rank")],
+    ids=["matrix-entry", "u-generator-entry", "bracket-coefficient", "bracket-i",
+         "bracket-j", "dim", "hirsch-rank"])
+def test_schema_rejects_booleans_as_integers(good, where, value, path):
+    node = good
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    with pytest.raises(SchemaError) as exc:
+        load_bundle(good)
+    assert exc.value.path == path, exc.value
+
+
+def _count_calls(monkeypatch, function):
+    """Counts calls of `function` through every binding in the package."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return function(*args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "infrasolv" and \
+                getattr(module, function.__name__, None) is function:
+            monkeypatch.setattr(module, function.__name__, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", bundles.builtin_names())
+def test_loading_checks_each_fact_once(name, monkeypatch):
+    obj = json.loads(bundles.bundle_bytes(name))
+    h, gens = obj["hull"], obj["gamma"]["generators"]
+    unipotent = _count_calls(monkeypatch, jordan.is_unipotent)
+    conjugations = _count_calls(monkeypatch, hull.hol_from_ambient)
+    matrices = _count_calls(monkeypatch, schema.matrix)
+    reparsed = []
+    monkeypatch.setattr(RationalMatrix, "from_json",
+                        lambda rows: reparsed.append(1) or RationalMatrix(rows))
+    load_bundle(obj)
+    # unip_log's series is its own unipotence check
+    assert len(unipotent) == len(h["u_generators"])
+    assert len(conjugations) == len(h["t_generators"])
+    assert len(matrices) == (len(h["lie_algebra"]["ambient"]) + len(h["u_generators"])
+                             + len(h["t_generators"]) + len(h["hol_matrices"])
+                             + 2 * len(gens))
+    assert reparsed == []

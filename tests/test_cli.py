@@ -79,7 +79,8 @@ def test_jordan_singular(tmp_path, capsys):
 
 @pytest.mark.parametrize("text, path", [
     ("5", "$"), ("[1, 2]", "$"), ("[[1.5]]", "$[0][0]"), ("[[null]]", "$[0][0]"),
-    ('{"a": 1}', "$"), ('[["1/0"]]', "$[0][0]"), ("[[1, 2], [3]]", "$[1]")])
+    ('{"a": 1}', "$"), ('[["1/0"]]', "$[0][0]"), ("[[1, 2], [3]]", "$[1]"),
+    ("[[true, false], [false, true]]", "$[0][0]"), ('[["1", false]]', "$[0][1]")])
 def test_jordan_rejects_malformed_matrix_files(text, path, tmp_path, capsys):
     p = tmp_path / "m.json"
     p.write_text(text)
@@ -100,6 +101,29 @@ def test_unreadable_paths_are_bad_input(argv, target, tmp_path, capsys):
     code, out, err = run(capsys, *argv, str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and str(path) in err
+
+
+@pytest.mark.parametrize("where, path", [
+    (("hull", "lie_algebra", "dim"), "$.hull.lie_algebra.dim"),
+    (("hull", "lie_algebra", "brackets", 0, 2, 2),
+     "$.hull.lie_algebra.brackets[0][2][2]"),
+    (("gamma", "generators", 0, "hol_matrix", 0, 0),
+     "$.gamma.generators[0].hol_matrix[0][0]"),
+    (("gamma", "hirsch_rank"), "$.gamma.hirsch_rank")],
+    ids=["dim", "bracket-coefficient", "matrix-entry", "hirsch-rank"])
+def test_json_booleans_are_bad_input(where, path, tmp_path, capsys):
+    obj = json.loads((pathlib.Path(__file__).parents[1] / "src" / "infrasolv" / "data"
+                      / "bundles" / "heisenberg.json").read_text())
+    node = obj
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = True
+    p = tmp_path / "b.json"
+    p.write_text(json.dumps(obj))
+    for command in ("validate", "hull-check"):
+        code, out, err = run(capsys, command, str(p))
+        assert code == 2 and out == ""
+        assert err.startswith(f"invalid bundle: {path}: "), err
 
 
 def test_hull_check_pass_and_fail(capsys):

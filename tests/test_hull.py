@@ -12,6 +12,7 @@ from infrasolv.hull import (CosetExtension, FittingResult, InductionError,
                             matrix_order, strong_radical_check)
 from infrasolv.lie import UnipotentGroupData, lie_closure, nilp_exp
 from infrasolv.linalg import RationalMatrix
+from infrasolv.schema import load_bundle
 
 
 def _elem(i, j, n):
@@ -86,7 +87,9 @@ def test_split_hull_validation():
 
 def test_split_hull_json_round_trip():
     hull = klein_hull()
-    back = SplitHullData.from_json(hull.to_json())
+    obj = {"name": "klein", "hull": hull.to_json(),
+           "gamma": klein_gamma(hull.algebra).to_json()}
+    back = load_bundle(obj).hull
     assert back.algebra.dim == 2
     assert back.t_generators == hull.t_generators
     assert back.hol_matrices == hull.hol_matrices

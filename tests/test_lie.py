@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,11 +11,14 @@ from hypothesis import strategies as st
 from test_linalg import count_eliminations, in_span, small_fracs
 
 from infrasolv import bundles, lie
+from infrasolv.actions import GammaActionData
+from infrasolv.hull import SplitHullData
 from infrasolv.lie import (NilpotentLieAlgebra, UnipotentGroupData,
                            _structure_algebra, _unflatten, bracket, center,
                            lie_closure, lower_central_series, nilp_exp,
                            unip_log)
 from infrasolv.linalg import RationalMatrix, complement, rref_basis
+from infrasolv.schema import load_bundle
 
 F = Fraction
 
@@ -79,9 +83,9 @@ def test_lie_closure_brackets_each_first_round_pair_once(monkeypatch):
     alg = lie_closure(data)
     assert alg.dim == 6
     # rounds: the 3 logs pairwise (3, not 9), 5 x 2 new, 6 x 1 new; then
-    # 15 pairs each for the raw and adapted structure constants and the
-    # validation of the adapted ambient brackets
-    assert len(calls) == 3 + 10 + 6 + 3 * 15
+    # 15 pairs for the raw structure constants; the adapted ones follow by
+    # change of basis, with no ambient products
+    assert len(calls) == 3 + 10 + 6 + 15
 
 
 @pytest.mark.parametrize("name", bundles.builtin_names())
@@ -90,6 +94,46 @@ def test_lie_closure_span_matches_all_pairs_oracle(name):
     alg = lie_closure(data)
     assert (rref_basis([m.flatten() for m in alg.ambient])
             == _oracle_closure_span(data))
+
+
+def _conjugated_unitriangular_sets(seed, count):
+    """Generators P U P^-1, U upper unitriangular: their canonical span is
+    rarely adapted to the lower central series already."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d, k = rng.randint(3, 5), rng.randint(2, 3)
+        p = M([[int(i == j) or rng.choice((0, 0, 1, -1)) for j in range(d)]
+               for i in range(d)])
+        if p.det() == 0:
+            continue
+        pinv = p.inverse()
+        gens = []
+        for _ in range(k):
+            u = M([[int(i == j) or (rng.choice((0, 0, 1, -1, "1/2")) if j > i else 0)
+                    for j in range(d)] for i in range(d)])
+            gens.append(p * u * pinv)
+        out.append(UnipotentGroupData(generators=tuple(gens), dim_ambient=d))
+    return out
+
+
+def test_lie_closure_brackets_by_change_of_basis_match_ambient_products(monkeypatch):
+    changed = []
+    original = NilpotentLieAlgebra.adapted_frame
+
+    def recorded(self):
+        frame = original(self)
+        changed.append(frame[3] is not self)
+        return frame
+    monkeypatch.setattr(NilpotentLieAlgebra, "adapted_frame", recorded)
+    for data in _conjugated_unitriangular_sets(11, 16):
+        alg = lie_closure(data)
+        # the old route: structure constants of the adapted ambient matrices
+        assert _structure_algebra(list(alg.ambient)).brackets == alg.brackets
+        NilpotentLieAlgebra(alg.dim, alg.brackets, ambient=alg.ambient)  # validates
+        assert alg.adapted_frame()[3] is alg
+    # most closures needed a change of basis (W != I)
+    assert sum(changed) >= 8
 
 
 def test_lie_closure_single_generator():
@@ -166,8 +210,11 @@ def test_coords_round_trip():
 
 
 def test_json_round_trip():
-    alg = lie_closure(UnipotentGroupData(generators=(HEIS_X, HEIS_Y), dim_ambient=3))
-    again = NilpotentLieAlgebra.from_json(alg.to_json())
+    u_data = UnipotentGroupData(generators=(HEIS_X, HEIS_Y), dim_ambient=3)
+    alg = lie_closure(u_data)
+    obj = {"name": "heisenberg", "hull": SplitHullData(alg, u_data).to_json(),
+           "gamma": GammaActionData(alg, {}).to_json()}
+    again = load_bundle(obj).hull.algebra
     assert again.dim == alg.dim
     assert again.brackets == alg.brackets
     assert again.ambient == alg.ambient
@@ -216,5 +263,5 @@ def test_coordinates_and_structure_constants_take_one_elimination(alg, monkeypat
     assert fresh.contains_matrix(fresh.matrix_from_coords(range(alg.dim)))
     assert not fresh.contains_matrix(RationalMatrix.identity(alg.ambient[0].rows))
     assert calls == []  # the cached left inverse and its residual only
-    rebuilt = _structure_algebra(list(alg.ambient), validate=False)
+    rebuilt = _structure_algebra(list(alg.ambient))
     assert len(calls) == 1 and rebuilt.brackets == alg.brackets
