@@ -61,7 +61,7 @@ class AffineElement:
 
     __slots__ = ("algebra", "u", "hol", "_translation", "_pmap")
 
-    def __init__(self, algebra, translation, hol, validate=True):
+    def __init__(self, algebra, translation, hol):
         """Build from an ambient unipotent translation matrix and hol."""
         try:
             log = unip_log(translation)  # checks unipotence
@@ -72,7 +72,7 @@ class AffineElement:
         self.hol = hol
         self._translation = translation
         self._pmap = None
-        if validate and not is_lie_automorphism(algebra, hol):
+        if not is_lie_automorphism(algebra, hol):
             raise ValueError("holonomy part is not a Lie algebra automorphism")
 
     @classmethod
@@ -125,12 +125,14 @@ class AffineElement:
             self.algebra, tuple(-x for x in hinv.apply(self.u)), hinv)
 
     def power(self, k: int) -> "AffineElement":
+        """self^k by repeated squaring; self itself for k = 1."""
         if k < 0:
             return self.inverse().power(-k)
-        acc = AffineElement.identity(self.algebra)
-        for _ in range(k):
-            acc = acc.compose(self)
-        return acc
+        if k < 2:
+            return self if k else AffineElement.identity(self.algebra)
+        half = self.power(k // 2)
+        square = half.compose(half)
+        return square.compose(self) if k % 2 else square
 
     def apply(self, point):
         """Image of a u-coordinate point, exactly."""
@@ -148,10 +150,6 @@ class AffineElement:
     def to_json(self):
         return {"translation_matrix": self.translation.to_json(),
                 "hol_matrix": self.hol.to_json()}
-
-
-def apply_affine(a: AffineElement, point):
-    return a.apply(point)
 
 
 @lru_cache(maxsize=LAYER_CACHE_SIZE)
@@ -236,14 +234,16 @@ class GammaActionData:
                 raise ValueError(f"relator {rel!r} does not evaluate to the identity")
 
     def evaluate_word(self, word) -> AffineElement:
+        """The product of the word's factors, from its first factor on."""
         if isinstance(word, str):
             word = parse_word(word)
-        acc = AffineElement.identity(self.algebra)
+        acc = None
         for name, k in word:
             if name not in self.generators:
                 raise ValueError(f"unknown generator {name!r}")
-            acc = acc.compose(self.generators[name].power(k))
-        return acc
+            factor = self.generators[name].power(k)
+            acc = factor if acc is None else acc.compose(factor)
+        return AffineElement.identity(self.algebra) if acc is None else acc
 
     def enumerate_ball(self, radius: int):
         """BFS over reduced words; yields (word string, element) once per element.

@@ -16,8 +16,8 @@ from typing import Optional
 
 from .actions import AffineElement, GammaActionData, is_lie_automorphism
 from .jordan import is_semisimple
-from .lie import NilpotentLieAlgebra, UnipotentGroupData, lie_closure, unip_log
-from .linalg import RationalMatrix, char_poly, fixed_space, span_equal
+from .lie import NilpotentLieAlgebra, bracket_closure, unip_log
+from .linalg import RationalMatrix, char_poly, fixed_space
 
 
 class InductionError(ValueError):
@@ -79,14 +79,6 @@ class SplitHullData:
                 raise ValueError(f"hol matrix {i} disagrees with ambient conjugation")
             if not is_lie_automorphism(self.algebra, self.hol_matrices[i]):
                 raise ValueError(f"hol matrix {i} is not a Lie algebra automorphism")
-
-    def closure_spans_algebra(self) -> bool:
-        """Surrogate check that U's generators generate all of u."""
-        closed = lie_closure(self.u_data)
-        if closed.dim != self.algebra.dim:
-            return False
-        return span_equal([m.flatten() for m in closed.ambient],
-                          [m.flatten() for m in self.algebra.ambient])
 
     def to_json(self):
         return {"lie_algebra": self.algebra.to_json(),
@@ -300,15 +292,14 @@ def hull_axiom_check(hull: SplitHullData, gamma: GammaActionData) -> HullCertifi
     if strong.diagnostics:
         diag["strong_radical"] = list(strong.diagnostics)
 
-    translations = tuple(g.translation for g in gamma.generators.values())
-    d = hull.algebra.ambient[0].rows
-    closure = lie_closure(UnipotentGroupData(generators=translations, dim_ambient=d))
-    spans = (closure.dim == hull.algebra.dim
-             and span_equal([m.flatten() for m in closure.ambient],
-                            [m.flatten() for m in hull.algebra.ambient]))
+    # the translations' coordinates lie in u, so they generate all of it
+    # exactly when their bracket closure has full dimension
+    closure = bracket_closure([g.u for g in gamma.generators.values()],
+                              hull.algebra.bracket_coords)
+    spans = len(closure) == hull.algebra.dim
     if not spans:
         diag["density_translations"] = (
-            f"translation parts generate a {closure.dim}-dimensional subalgebra "
+            f"translation parts generate a {len(closure)}-dimensional subalgebra "
             f"of the {hull.algebra.dim}-dimensional u")
     gamma_fixed = fixed_space([g.hol for g in gamma.generators.values()],
                               hull.algebra.dim)

@@ -1,17 +1,22 @@
 """Nilpotent matrix Lie algebras over the rationals.
 
 A NilpotentLieAlgebra is an abstract structure-constant algebra, optionally
-carrying the ambient matrices its basis came from. lie_closure builds one
-from unipotent group generators: take logs, saturate under brackets, then
-pass to the algebra's adapted frame, a canonical basis adapted to the lower
-central series (depth-1 complement first), so quotient layers are
-coordinate slices.
+carrying the ambient matrices its basis came from. Its group law
+mu(x, y) = log(exp x * exp y) is the Baker-Campbell-Hausdorff polynomial,
+computed from the structure constants alone. bracket_closure saturates a
+span of coordinate vectors under a bracket. lie_closure uses it to build
+an algebra from unipotent group generators: take logs, saturate under the
+matrix bracket, then pass to the algebra's adapted frame, a canonical basis
+adapted to the lower central series (depth-1 complement first), so
+quotient layers are coordinate slices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import comb, factorial
 
 from .jordan import is_unipotent
 from .linalg import (RationalMatrix, _frac, complement, intersect_kernels,
@@ -65,7 +70,7 @@ def bracket(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
 
 
 # ------------------------------------------------------------------
-# symbolic matrices: lists of rows of MPoly, always over the same nvars
+# polynomial coordinate vectors: lists of MPoly over the same nvars
 
 def _linear_polys(m: RationalMatrix):
     """The components of x -> m x as polynomials in m.cols variables."""
@@ -74,100 +79,21 @@ def _linear_polys(m: RationalMatrix):
             for row in m.data]
 
 
-def _pm_constant_matrix(m: RationalMatrix, nvars: int):
-    return [[MPoly.constant(nvars, x) for x in row] for row in m.data]
+def _even_bch_coefficients(m):
+    """B_2p / (2p)! for 1 <= p <= m / 2, the Bernoulli numbers by the
+    recurrence sum_{k <= n} C(n + 1, k) B_k = 0."""
+    b = [Fraction(1)]
+    for n in range(1, m + 1):
+        b.append(-sum(comb(n + 1, k) * b[k] for k in range(n)) / (n + 1))
+    return {2 * p: b[2 * p] / factorial(2 * p) for p in range(1, m // 2 + 1)}
 
 
-def _pm_mul(a, b):
-    bt = list(zip(*b))
-    return [[_pm_dot(row, col) for col in bt] for row in a]
-
-
-def _pm_dot(row, col):
-    acc = row[0] * col[0]
-    for x, y in zip(row[1:], col[1:]):
-        acc = acc + x * y
-    return acc
-
-
-def _pm_add(a, b, sign=1):
-    return [[x + sign * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _pm_scale(a, c):
-    return [[x * c for x in row] for row in a]
-
-
-def _pm_is_zero(a):
-    return all(x.is_zero() for row in a for x in row)
-
-
-def _symbolic_u_element(algebra, coord_polys):
-    """Sum_i coord_polys[i] * B_i as a symbolic ambient matrix."""
-    d = algebra.ambient[0].rows
-    nvars = coord_polys[0].nvars
-    out = [[MPoly.zero(nvars) for _ in range(d)] for _ in range(d)]
-    for c, b in zip(coord_polys, algebra.ambient):
-        for r in range(d):
-            for s in range(d):
-                if b[r, s]:
-                    out[r][s] = out[r][s] + c * b[r, s]
-    return out
-
-
-def _pm_exp(x):
-    """exp of a symbolic matrix, nilpotent for every evaluation point."""
-    d = len(x)
-    nvars = x[0][0].nvars
-    acc = _pm_constant_matrix(RationalMatrix.identity(d), nvars)
-    power = x
-    fact = 1
-    k = 1
-    while not _pm_is_zero(power):
-        if k > d:
-            raise ValueError("symbolic exponential did not terminate: input not nilpotent")
-        fact *= k
-        acc = _pm_add(acc, _pm_scale(power, Fraction(1, fact)))
-        power = _pm_mul(power, x)
-        k += 1
-    return acc
-
-
-def _pm_log(p):
-    """log of a symbolic matrix, unipotent for every evaluation point."""
-    d = len(p)
-    nvars = p[0][0].nvars
-    n = _pm_add(p, _pm_constant_matrix(RationalMatrix.identity(d), nvars), sign=-1)
-    acc = [[MPoly.zero(nvars) for _ in range(d)] for _ in range(d)]
-    power = n
-    k = 1
-    while not _pm_is_zero(power):
-        if k > d:
-            raise ValueError("symbolic logarithm did not terminate: input not unipotent")
-        acc = _pm_add(acc, _pm_scale(power, Fraction((-1) ** (k + 1), k)))
-        power = _pm_mul(power, n)
-        k += 1
-    return acc
-
-
-def _pm_coords(algebra, sym):
-    """Coordinates of a symbolic matrix known to lie in u, via the left inverse."""
-    lf = algebra.coord_functional()
-    flat = [x for row in sym for x in row]
-    nvars = flat[0].nvars
-    comps = []
-    for i in range(algebra.dim):
-        acc = MPoly.zero(nvars)
-        for t, x in enumerate(flat):
-            c = lf[i, t]
-            if c and not x.is_zero():
-                acc = acc + x * c
-        comps.append(acc)
-    # the functional is only a left inverse: check the residual vanishes
-    rebuilt = _symbolic_u_element(algebra, comps)
-    if not _pm_is_zero(_pm_add(sym, rebuilt, sign=-1)):
-        raise ValueError("symbolic matrix does not lie in the algebra span")
-    return comps
+def _compositions(m, parts):
+    """Every (k_1, ..., k_parts) with k_i >= 1 summing to m, from the cut
+    points between 1 and m - 1."""
+    for cuts in combinations(range(1, m), parts - 1):
+        bounds = (0,) + cuts + (m,)
+        yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
 
 @dataclass(frozen=True)
@@ -183,10 +109,6 @@ class UnipotentGroupData:
                 raise ValueError(f"generator {i} is not {self.dim_ambient}x{self.dim_ambient}")
             if not is_unipotent(g):
                 raise ValueError(f"generator {i} is not unipotent")
-
-    def to_json(self):
-        return {"dim_ambient": self.dim_ambient,
-                "generators": [g.to_json() for g in self.generators]}
 
 
 class NilpotentLieAlgebra:
@@ -325,13 +247,47 @@ class NilpotentLieAlgebra:
 
     def group_law(self):
         """mu(x, y) = log(exp x * exp y) in coordinates: dim polynomials in 2 dim
-        variables, x first. Computed once from the ambient matrices; the
-        symbolic logarithm's coordinates are checked against its residual."""
+        variables, x first, computed once from the structure constants.
+
+        The Baker-Campbell-Hausdorff series by Varadarajan's recursion
+        (Lie Groups, Lie Algebras, and Their Representations, 2.15): with
+        z_1 = x + y and K_2p = B_2p / (2p)!,
+            (m + 1) z_(m+1) = 1/2 [x - y, z_m]
+                + sum over p >= 1, 2p <= m, of K_2p times the sum over
+                  k_1 + ... + k_2p = m, k_i >= 1, of [z_k1, [... [z_k2p, x + y] ...]],
+        each z_m homogeneous of degree m. In an algebra of nilpotency class
+        c every z_m past c vanishes, so mu = z_1 + ... + z_c; a zero z_m
+        below c proves nothing, so the recursion always runs to c."""
         if self._group_law is None:
-            v = [MPoly.variable(2 * self.dim, i) for i in range(2 * self.dim)]
-            prod = _pm_mul(_pm_exp(_symbolic_u_element(self, v[:self.dim])),
-                           _pm_exp(_symbolic_u_element(self, v[self.dim:])))
-            self._group_law = tuple(_pm_coords(self, _pm_log(prod)))
+            n = self.dim
+            zero = MPoly.zero(2 * n)
+
+            def bracket_polys(a, b):
+                out = [zero] * n
+                for (i, j), vec in self.brackets.items():
+                    t = a[i] * b[j] - a[j] * b[i]
+                    if not t.is_zero():
+                        for k, c in enumerate(vec):
+                            if c:
+                                out[k] = out[k] + t * c
+                return out
+
+            v = [MPoly.variable(2 * n, i) for i in range(2 * n)]
+            total = [x + y for x, y in zip(v[:n], v[n:])]
+            diff = [x - y for x, y in zip(v[:n], v[n:])]
+            nil_class = self.nilpotency_class()
+            coefficients = _even_bch_coefficients(nil_class - 1)
+            z = [None, total]
+            for m in range(1, nil_class):
+                acc = [p * Fraction(1, 2) for p in bracket_polys(diff, z[m])]
+                for parts, coef in coefficients.items():
+                    for ks in _compositions(m, parts):
+                        nested = total
+                        for part in reversed(ks):
+                            nested = bracket_polys(z[part], nested)
+                        acc = [a + b * coef for a, b in zip(acc, nested)]
+                z.append([a * Fraction(1, m + 1) for a in acc])
+            self._group_law = tuple(sum(comps, zero) for comps in zip(*z[1:]))
         return self._group_law
 
     def group_product(self, x, y):
@@ -428,33 +384,39 @@ def center(algebra: NilpotentLieAlgebra):
     return rref_basis(intersect_kernels(ads))
 
 
+def bracket_closure(vectors, bracket_of):
+    """RREF basis of the smallest span containing `vectors` and closed under
+    bracket_of, a bilinear antisymmetric map of coordinate vectors.
+
+    Saturates round by round; the span strictly grows, so there are at
+    most as many rounds as coordinates. The first round brackets each unordered pair
+    once: [a, a] = 0 and [b, a] = -[a, b] add nothing to the span, so the
+    complement picks the same vectors. Later rounds bracket the span with
+    the vectors just added."""
+    span = rref_basis(vectors)
+    brackets = [bracket_of(a, b) for i, a in enumerate(span) for b in span[i + 1:]]
+    while True:
+        new = complement(span, brackets)
+        if not new:
+            return span
+        span = rref_basis(span + new)
+        brackets = [bracket_of(a, b) for a in span for b in new]
+
+
 def lie_closure(data: UnipotentGroupData) -> NilpotentLieAlgebra:
     """Smallest matrix Lie algebra containing the logs of the generators.
 
-    Saturates the span under brackets (at most dim_ambient^2 rounds since the
-    span strictly grows), then rejects non-nilpotent results: that happens
-    exactly when the generated group is not unipotent as a group, e.g. the
-    two elementary 2x2 unipotents generating a dense subgroup of SL_2.
+    Saturates the span of the flattened logs under the matrix bracket,
+    then rejects non-nilpotent results: that happens exactly when the
+    generated group is not unipotent as a group, e.g. the two elementary
+    2x2 unipotents generating a dense subgroup of SL_2.
     """
     d = data.dim_ambient
-    logs = [unip_log(g) for g in data.generators]
-    span = rref_basis([m.flatten() for m in logs if not m.is_zero()])
+    span = bracket_closure(
+        [unip_log(g).flatten() for g in data.generators],
+        lambda a, b: bracket(_unflatten(a, d), _unflatten(b, d)).flatten())
     if not span:
         return NilpotentLieAlgebra(dim=0, brackets={}, ambient=[])
-    mats = [_unflatten(v, d) for v in span]
-    # first round: each unordered pair once; [a, a] = 0 and [b, a] = -[a, b]
-    # add nothing to the span, so the complement picks the same vectors
-    brackets = [bracket(a, b) for i, a in enumerate(mats) for b in mats[i + 1:]]
-    while True:
-        new = complement(span, [m.flatten() for m in brackets])
-        if not new:
-            break
-        span = rref_basis(span + new)
-        # refresh matrices from the canonical span so later solves stay small
-        mats = [_unflatten(v, d) for v in span]
-        frontier = [_unflatten(v, d) for v in new]
-        brackets = [bracket(a, b) for a in mats for b in frontier]
-
     raw = _structure_algebra([_unflatten(v, d) for v in span])
     if lower_central_series(raw)[-1]:
         raise ValueError("generated group is not unipotent: bracket closure is not nilpotent")

@@ -361,10 +361,6 @@ def complement(sub, whole):
     return [whole[c - ns] for c in _pivots(list(zip(*(sub + whole)))) if c >= ns]
 
 
-def span_equal(a_vectors, b_vectors) -> bool:
-    return rref_basis(a_vectors) == rref_basis(b_vectors)
-
-
 def intersect_kernels(mats):
     """Basis of the joint right null space of several matrices."""
     mats = list(mats)

@@ -1,8 +1,10 @@
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+from infrasolv import bundles
 from infrasolv.actions import (AffineElement, GammaActionData,
                                right_translation_map)
 from infrasolv.hull import (CosetExtension, FittingResult, InductionError,
@@ -10,7 +12,8 @@ from infrasolv.hull import (CosetExtension, FittingResult, InductionError,
                             finite_order_bound, fitting_radical_check,
                             hol_from_ambient, hull_axiom_check, induce_extension,
                             matrix_order, strong_radical_check)
-from infrasolv.lie import UnipotentGroupData, lie_closure, nilp_exp
+from infrasolv.lie import (UnipotentGroupData, bracket_closure, lie_closure,
+                           nilp_exp, unip_log)
 from infrasolv.linalg import RationalMatrix
 from infrasolv.schema import load_bundle
 
@@ -79,10 +82,13 @@ def test_split_hull_validation():
                       hol_matrices=(RationalMatrix.identity(2),))
     hull = klein_hull()
     assert hull.hol_matrices[0] == RationalMatrix([[1, 0], [0, -1]])
-    assert hull.closure_spans_algebra()
+    # U's generators span u exactly when their coordinates' bracket closure does
+    coords = [alg.coords_of_matrix(unip_log(g)) for g in hull.u_data.generators]
+    assert len(bracket_closure(coords, alg.bracket_coords)) == alg.dim
     partial = SplitHullData(alg, UnipotentGroupData(generators=(g1,),
                                                     dim_ambient=3))
-    assert not partial.closure_spans_algebra()
+    coords = [alg.coords_of_matrix(unip_log(g)) for g in partial.u_data.generators]
+    assert len(bracket_closure(coords, alg.bracket_coords)) == 1
 
 
 def test_split_hull_json_round_trip():
@@ -266,6 +272,32 @@ def test_hull_axioms_fail_on_sparse_translations():
     cert = hull_axiom_check(hull, sparse)
     assert not cert.passed and not cert.density_surrogate_ok
     assert "density_translations" in cert.diagnostics
+
+
+def _counted_everywhere(monkeypatch, func):
+    """A list that grows by one for every call of func through any module
+    of the package that binds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return func(*args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "infrasolv"
+                and getattr(module, func.__name__, None) is func):
+            monkeypatch.setattr(module, func.__name__, counted)
+    return calls
+
+
+def test_hull_axiom_check_takes_no_ambient_closure(monkeypatch):
+    # density is a bracket closure of the translations' coordinates: no
+    # translation matrix, no second matrix Lie closure
+    loaded = [bundles.load(name) for name in bundles.builtin_names()]
+    closures = _counted_everywhere(monkeypatch, lie_closure)
+    exps = _counted_everywhere(monkeypatch, nilp_exp)
+    for bundle in loaded:
+        hull_axiom_check(bundle.hull, bundle.gamma)
+    assert closures == [] and exps == []
 
 
 def test_hull_axioms_fail_on_scalar_torus():

@@ -14,7 +14,8 @@ from infrasolv import bundles, lie
 from infrasolv.actions import GammaActionData
 from infrasolv.hull import SplitHullData
 from infrasolv.lie import (NilpotentLieAlgebra, UnipotentGroupData,
-                           _structure_algebra, _unflatten, bracket, center,
+                           _structure_algebra, _unflatten, bracket,
+                           bracket_closure, center,
                            lie_closure, lower_central_series, nilp_exp,
                            unip_log)
 from infrasolv.linalg import RationalMatrix, complement, rref_basis
@@ -134,6 +135,26 @@ def test_lie_closure_brackets_by_change_of_basis_match_ambient_products(monkeypa
         assert alg.adapted_frame()[3] is alg
     # most closures needed a change of basis (W != I)
     assert sum(changed) >= 8
+
+
+def test_bracket_closure_of_coordinates_matches_lie_closure():
+    # seeded generators in the 5x5 upper unitriangular group: the bracket
+    # closure of their coordinates in its algebra has the dimension of
+    # their own matrix Lie closure
+    upper = lie_closure(UnipotentGroupData(generators=tuple(
+        M([[int(r == c or (r, c) == (i, i + 1)) for c in range(5)] for r in range(5)])
+        for i in range(4)), dim_ambient=5))
+    rng = random.Random(17)
+    dims = set()
+    for _ in range(24):
+        gens = tuple(M([[int(i == j) or (rng.choice((0, 0, 0, 1, -1, "1/2")) if j > i else 0)
+                         for j in range(5)] for i in range(5)])
+                     for _ in range(rng.randint(1, 3)))
+        closed = lie_closure(UnipotentGroupData(generators=gens, dim_ambient=5))
+        coords = [upper.coords_of_matrix(unip_log(g)) for g in gens]
+        assert len(bracket_closure(coords, upper.bracket_coords)) == closed.dim
+        dims.add(closed.dim)
+    assert len(dims) >= 4
 
 
 def test_lie_closure_single_generator():
