@@ -109,11 +109,15 @@ def test_affine_element_validation():
         AffineElement(ab, outside, RationalMatrix.identity(2))
 
 
-def test_non_unipotent_translation_is_rejected():
+@pytest.mark.parametrize("valid_holonomy", [True, False])
+def test_non_unipotent_translation_is_rejected(valid_holonomy):
+    # The translation is checked first, whatever the holonomy part is.
     alg = heisenberg()
     scaled = RationalMatrix([[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+    hol = (RationalMatrix.identity(3) if valid_holonomy
+           else RationalMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 5]]))
     with pytest.raises(ValueError, match="translation part is not unipotent"):
-        AffineElement(alg, scaled, RationalMatrix.identity(3))
+        AffineElement(alg, scaled, hol)
 
 
 def test_group_laws_on_random_elements():
