@@ -1,9 +1,10 @@
 """Byte-level guard of the command line.
 
 tests/golden/commands.json holds the SHA-256 of stdout and of stderr, and
-the exit code, of every bundle command on every built-in bundle, and of
-`validate` on malformed copies of the `heisenberg` bundle. Each case runs
-in-process and must reproduce its three values exactly.
+the exit code, of every bundle command on every built-in bundle, of
+`free-check` and `orbit` at radius 4 on every built-in, and of `validate`
+on malformed copies of the `heisenberg` bundle. Each case runs in-process
+and must reproduce its three values exactly.
 
 Regenerate the file, only when an output change is intended, with
 
@@ -28,6 +29,7 @@ GOLDEN = pathlib.Path(__file__).parent / "golden" / "commands.json"
 COMMANDS = ("validate", "lie-closure", "hull-check", "emit-action", "free-check",
             "orbit", "torus-rank", "betti", "report")
 RADIUS_COMMANDS = ("free-check", "orbit", "report")
+WIDE_RADIUS_COMMANDS = ("free-check", "orbit")
 
 _I3 = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
 _SWAP13 = [["0", "0", "1"], ["0", "1", "0"], ["1", "0", "0"]]
@@ -98,6 +100,9 @@ def cases():
         for command in COMMANDS:
             opts = ["--radius", "2"] if command in RADIUS_COMMANDS else []
             out[" ".join([command, name, *opts])] = ([command, name, *opts], None)
+        for command in WIDE_RADIUS_COMMANDS:
+            argv = [command, name, "--radius", "4"]
+            out[" ".join(argv)] = (argv, None)
     for label, mutate in MUTATIONS.items():
         out[f"validate heisenberg[{label}]"] = (["validate", "heisenberg"], mutate)
     return out
