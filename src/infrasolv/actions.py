@@ -24,9 +24,15 @@ from .linalg import RationalMatrix, _frac, _rref, kernel, rank, solve
 from .polynomial import MPoly, PolynomialMap
 
 
-# Entries each per-holonomy memo keeps (layer reductions, holonomy
-# products), far more than one ball's holonomies.
+# Entries each per-holonomy memo keeps (canonical holonomies, layer
+# reductions, holonomy products), far more than one ball's holonomies.
 LAYER_CACHE_SIZE = 256
+
+# Largest bit length of a holonomy entry (numerator or denominator) that
+# AffineElement.power builds. Under a holonomy of infinite order the
+# entries of g^k grow geometrically in k, so a large word exponent would
+# otherwise build huge integers; finite-order holonomy stays far below it.
+POWER_ENTRY_BITS = 4096
 
 
 class FixedPointScopeError(RuntimeError):
@@ -69,7 +75,7 @@ class AffineElement:
             raise ValueError("translation part is not unipotent") from None
         self.algebra = algebra
         self.u = algebra.coords_of_matrix(log)  # raises if outside u
-        self.hol = hol
+        self.hol = _canonical(hol)
         self._translation = translation
         self._pmap = None
         if not is_lie_automorphism(algebra, hol):
@@ -81,7 +87,7 @@ class AffineElement:
         self = object.__new__(cls)
         self.algebra = algebra
         self.u = tuple(u)
-        self.hol = hol
+        self.hol = _canonical(hol)
         self._translation = None
         self._pmap = None
         return self
@@ -125,13 +131,20 @@ class AffineElement:
             self.algebra, tuple(-x for x in hinv.apply(self.u)), hinv)
 
     def power(self, k: int) -> "AffineElement":
-        """self^k by repeated squaring; self itself for k = 1."""
+        """self^k by repeated squaring; self itself for k = 1.
+
+        Raises ValueError once a square's holonomy has an entry longer
+        than POWER_ENTRY_BITS bits."""
         if k < 0:
             return self.inverse().power(-k)
         if k < 2:
             return self if k else AffineElement.identity(self.algebra)
         half = self.power(k // 2)
         square = half.compose(half)
+        if max(max(x.numerator.bit_length(), x.denominator.bit_length())
+               for row in square.hol.data for x in row) > POWER_ENTRY_BITS:
+            raise ValueError("word power exceeds the budget of "
+                             f"{POWER_ENTRY_BITS} bits per holonomy entry")
         return square.compose(self) if k % 2 else square
 
     def apply(self, point):
@@ -141,6 +154,7 @@ class AffineElement:
         return self.algebra.group_product(self.u, self.hol.apply(point))
 
     def as_polynomial_map(self) -> PolynomialMap:
+        """x -> mu(u, A x) = u + A x + (the law's nonlinear terms at (u, A x))."""
         if self._pmap is None:
             n = self.algebra.dim
             self._pmap = PolynomialMap(_law_at(self.algebra, _constants(self.u, n),
@@ -153,23 +167,35 @@ class AffineElement:
 
 
 @lru_cache(maxsize=LAYER_CACHE_SIZE)
+def _canonical(hol):
+    """The first instance of hol's value still in the table.
+
+    Elements store it, so the holonomy memo keys and the word ball's
+    lookups compare holonomies by identity. An evicted value gets a new
+    instance: only speed is lost, since equality stays by value."""
+    return hol
+
+
+@lru_cache(maxsize=LAYER_CACHE_SIZE)
 def _identity(n):
-    return RationalMatrix.identity(n)
+    return _canonical(RationalMatrix.identity(n))
 
 
 @lru_cache(maxsize=LAYER_CACHE_SIZE)
 def _hol_product(a, b):
     """a b, memoized by value: a word ball meets only a few holonomies."""
-    return a * b
+    return _canonical(a * b)
 
 
 # ------------------------------------------------------------------
 # the group law on polynomial arguments
 
 def _law_at(algebra, xs, ys):
-    """mu(xs, ys) for lists of polynomials, by substitution into the law."""
+    """mu(xs, ys) for lists of polynomials: xs + ys, plus the law's
+    nonlinear terms substituted in the components that have any."""
     args = list(xs) + list(ys)
-    return [c.substitute(args) for c in algebra.group_law()]
+    return [x + y + c.substitute(args) if c.terms else x + y
+            for x, y, c in zip(xs, ys, algebra.nonlinear_law())]
 
 
 def _constants(vec, nvars):
@@ -334,8 +360,8 @@ def _combine(coeffs, polys, nvars):
     for c, p in zip(coeffs, polys):
         if c:
             for e, v in p.terms.items():
-                terms[e] = terms.get(e, 0) + c * v
-    return MPoly(nvars, terms)
+                terms[e] = terms[e] + c * v if e in terms else c * v
+    return MPoly._trusted(nvars, terms)
 
 
 def fixed_point_solve(a: AffineElement):

@@ -73,10 +73,10 @@ def bracket(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
 # polynomial coordinate vectors: lists of MPoly over the same nvars
 
 def _linear_polys(m: RationalMatrix):
-    """The components of x -> m x as polynomials in m.cols variables."""
-    xs = [MPoly.variable(m.cols, j) for j in range(m.cols)]
-    return [sum((xs[j] * c for j, c in enumerate(row) if c), MPoly.zero(m.cols))
-            for row in m.data]
+    """The components of x -> m x as polynomials in m.cols variables, one
+    MPoly per row."""
+    units = [tuple(int(k == j) for k in range(m.cols)) for j in range(m.cols)]
+    return [MPoly._trusted(m.cols, dict(zip(units, row))) for row in m.data]
 
 
 def _even_bch_coefficients(m):
@@ -120,7 +120,7 @@ class NilpotentLieAlgebra:
     """
 
     __slots__ = ("dim", "labels", "brackets", "ambient", "_coord_functional",
-                 "_group_law", "_law_terms", "_adapted_frame")
+                 "_group_law", "_nonlinear_law", "_law_terms", "_adapted_frame")
 
     def __init__(self, dim, brackets, labels=None, ambient=None, validate=True):
         self.dim = dim
@@ -140,6 +140,7 @@ class NilpotentLieAlgebra:
         self.ambient = tuple(ambient) if ambient is not None else None
         self._coord_functional = None
         self._group_law = None
+        self._nonlinear_law = None
         self._law_terms = None
         self._adapted_frame = None
         if self.ambient is not None and len(self.ambient) != dim:
@@ -290,22 +291,41 @@ class NilpotentLieAlgebra:
             self._group_law = tuple(sum(comps, zero) for comps in zip(*z[1:]))
         return self._group_law
 
+    def nonlinear_law(self):
+        """The terms of degree >= 2 of group_law(), one MPoly per component,
+        computed once: mu(x, y) = x + y + nonlinear_law(). Raises
+        AssertionError unless the linear part of the law is exactly x + y."""
+        if self._nonlinear_law is None:
+            n = self.dim
+            unit = [tuple(int(i == j) for i in range(2 * n)) for j in range(2 * n)]
+            out = []
+            for k, comp in enumerate(self.group_law()):
+                low = {e: c for e, c in comp.terms.items() if sum(e) < 2}
+                if low != {unit[k]: 1, unit[n + k]: 1}:
+                    raise AssertionError("group law's linear part is not x + y")
+                out.append(MPoly._trusted(2 * n, {e: c for e, c in comp.terms.items()
+                                                  if sum(e) >= 2}))
+            self._nonlinear_law = tuple(out)
+        return self._nonlinear_law
+
     def group_product(self, x, y):
         """Coordinates of exp(x) * exp(y) for rational coordinate vectors.
 
-        Evaluates group_law() through its sparse term lists, built once:
-        per component, (coefficient, ((variable, exponent), ...)) pairs."""
+        x + y, plus nonlinear_law() evaluated through its sparse term lists,
+        built once: per component, (coefficient, ((variable, exponent), ...))
+        pairs. For an abelian algebra every list is empty."""
+        n = self.dim
+        if len(x) != n or len(y) != n:
+            raise ValueError("point has the wrong number of coordinates")
         if self._law_terms is None:
             self._law_terms = tuple(
                 tuple((c, tuple((i, e) for i, e in enumerate(exps) if e))
                       for exps, c in comp.terms.items())
-                for comp in self.group_law())
-        point = [_frac(c) for c in x] + [_frac(c) for c in y]
-        if len(point) != 2 * self.dim:
-            raise ValueError("point has the wrong number of coordinates")
+                for comp in self.nonlinear_law())
+        point = [c if isinstance(c, Fraction) else _frac(c) for c in (*x, *y)]
         out = []
-        for terms in self._law_terms:
-            total = Fraction(0)
+        for k, terms in enumerate(self._law_terms):
+            total = point[k] + point[n + k]
             for c, mono in terms:
                 for i, e in mono:
                     c *= point[i] if e == 1 else point[i] ** e

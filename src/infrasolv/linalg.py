@@ -35,7 +35,7 @@ def frac_to_str(x: Fraction) -> str:
 class RationalMatrix:
     """Immutable dense matrix with Fraction entries."""
 
-    __slots__ = ("rows", "cols", "data", "_hash")
+    __slots__ = ("rows", "cols", "data", "_hash", "_sparse")
 
     def __init__(self, rows_of_entries):
         data = tuple(tuple(_frac(x) for x in row) for row in rows_of_entries)
@@ -48,6 +48,7 @@ class RationalMatrix:
         object.__setattr__(self, "rows", len(data))
         object.__setattr__(self, "cols", ncols)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_sparse", None)
 
     def __setattr__(self, *a):
         raise AttributeError("RationalMatrix is immutable")
@@ -83,7 +84,8 @@ class RationalMatrix:
         return self.rows == self.cols
 
     def __eq__(self, other):
-        return isinstance(other, RationalMatrix) and self.data == other.data
+        return self is other or (isinstance(other, RationalMatrix)
+                                 and self.data == other.data)
 
     def __hash__(self):
         # computed once: matrices key memo tables and word-ball dicts
@@ -143,11 +145,26 @@ class RationalMatrix:
         return RationalMatrix(list(zip(*self.data)))
 
     def apply(self, vec):
-        """Matrix-vector product; vec is a sequence, result a tuple."""
+        """Matrix-vector product; vec is a sequence, result a tuple.
+
+        Runs over each row's (column, entry) pairs of nonzero entries, listed
+        once per matrix, with the int 1 or -1 for an entry of +-1: a copy or
+        a negation, so a signed permutation multiplies nothing."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        v = [_frac(x) for x in vec]
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.data)
+        v = [x if isinstance(x, Fraction) else _frac(x) for x in vec]
+        if self._sparse is None:
+            object.__setattr__(self, "_sparse", tuple(
+                tuple((j, int(a) if a in (1, -1) else a) for j, a in enumerate(row) if a)
+                for row in self.data))
+        out = []
+        for row in self._sparse:
+            acc = None
+            for j, a in row:
+                t = (v[j] if a > 0 else -v[j]) if type(a) is int else a * v[j]
+                acc = t if acc is None else acc + t
+            out.append(Fraction(0) if acc is None else acc)
+        return tuple(out)
 
     def trace(self) -> Fraction:
         if not self.is_square():

@@ -30,6 +30,16 @@ class MPoly:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _trusted(cls, nvars: int, terms) -> "MPoly":
+        """Internal constructor for terms combined from checked polynomials:
+        exponent tuples of length nvars and Fraction coefficients. Drops the
+        zero coefficients and checks nothing else."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "terms", {e: c for e, c in terms.items() if c})
+        return self
+
     def __setattr__(self, *a):
         raise AttributeError("MPoly is immutable")
 
@@ -75,8 +85,10 @@ class MPoly:
             raise ValueError("variable count mismatch")
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + sign * c
-        return MPoly(self.nvars, out)
+            if sign < 0:
+                c = -c
+            out[e] = out[e] + c if e in out else c
+        return MPoly._trusted(self.nvars, out)
 
     def __add__(self, other):
         return self._binop(other, 1)
@@ -90,20 +102,20 @@ class MPoly:
         return MPoly.constant(self.nvars, other) - self
 
     def __neg__(self):
-        return MPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MPoly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, str)):
             c = _frac(other)
-            return MPoly(self.nvars, {e: c * v for e, v in self.terms.items()})
+            return MPoly._trusted(self.nvars, {e: c * v for e, v in self.terms.items()})
         if self.nvars != other.nvars:
             raise ValueError("variable count mismatch")
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return MPoly(self.nvars, out)
+                out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+        return MPoly._trusted(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -130,7 +142,7 @@ class MPoly:
         target = polys[0].nvars
         if any(p.nvars != target for p in polys):
             raise ValueError("replacement polynomials disagree on variable count")
-        powers = [{0: MPoly.constant(target, 1)} for _ in polys]
+        powers = [{1: p} for p in polys]
 
         def power(i, e):
             cache = powers[i]
@@ -138,14 +150,16 @@ class MPoly:
                 cache[e] = power(i, e - 1) * polys[i]
             return cache[e]
 
-        total = MPoly.zero(target)
+        one = MPoly._trusted(target, {(0,) * target: Fraction(1)})
+        total = {}  # each term's product of powers, scaled into one sum
         for exps, c in self.terms.items():
-            term = MPoly.constant(target, c)
+            term = one
             for i, e in enumerate(exps):
                 if e:
                     term = term * power(i, e)
-            total = total + term
-        return total
+            for e, v in term.terms.items():
+                total[e] = total[e] + c * v if e in total else c * v
+        return MPoly._trusted(target, total)
 
     def linear_decomposition(self):
         """Split into (constant, linear-coefficient list, higher part)."""

@@ -6,13 +6,15 @@ from fractions import Fraction as F
 import pytest
 
 from infrasolv import bundles
-from infrasolv.actions import (AffineElement, FixedPointScopeError,
-                               GammaActionData, _hol_product, _pad,
+from infrasolv.actions import (POWER_ENTRY_BITS, AffineElement,
+                               FixedPointScopeError, GammaActionData,
+                               _canonical, _hol_product, _pad,
                                action_degree_bound,
                                emit_polynomial_action, fixed_point_solve,
                                freeness_check, is_lie_automorphism,
                                orbit_sample, parse_word,
                                right_translation_map, torus_rank)
+from infrasolv.cli import main
 from infrasolv.hull import SplitHullData
 from infrasolv.lie import (NilpotentLieAlgebra, UnipotentGroupData,
                            _linear_polys, lie_closure, nilp_exp, unip_log)
@@ -240,6 +242,30 @@ def test_relator_with_a_huge_exponent_loads_quickly(name):
     assert time.perf_counter() - start < 1.0
 
 
+def _sol3_with_relator(relator, tmp_path):
+    obj = json.loads(bundles.bundle_bytes("sol3"))
+    obj["gamma"]["relators"].append(relator)
+    path = tmp_path / "sol3.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def test_word_power_under_infinite_order_holonomy_stops_at_the_budget(tmp_path, capsys):
+    # s has holonomy [[2, 1], [1, 1]] on the first two coordinates: the
+    # entries of s^k have about 1.39 k bits
+    path = _sol3_with_relator("s^100000 s^-100000", tmp_path)
+    start = time.perf_counter()
+    assert main(["validate", path]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "group data rejected" in err and f"{POWER_ENTRY_BITS} bits" in err
+
+
+def test_word_power_under_the_budget_still_loads(tmp_path, capsys):
+    assert main(["validate", _sol3_with_relator("s^8 s^-8", tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_enumerate_ball_counts_and_identity_first():
     data = _z2_data()
     ball1 = list(data.enumerate_ball(1))
@@ -352,11 +378,23 @@ def test_scope_error_on_nonlinear_consistency_row():
         fixed_point_solve(g)
 
 
+def _oracle_polynomial_map(a):
+    """x -> mu(u, A x) by substituting the constants u and the rows of A x,
+    each row a sum of scaled variables, into every component of the full
+    law, its linear part included."""
+    n = a.algebra.dim
+    xs = [MPoly.variable(n, j) for j in range(n)]
+    ax = [sum((xs[j] * c for j, c in enumerate(row) if c), MPoly.zero(n))
+          for row in a.hol.data]
+    args = [MPoly.constant(n, c) for c in a.u] + ax
+    return PolynomialMap([c.substitute(args) for c in a.algebra.group_law()])
+
+
 def _oracle_fixed_point(a):
     """The descent with its own Fraction Gauss-Jordan elimination per layer,
     as fixed_point_solve did it before it shared linalg's elimination, on
-    the element's own map with W y substituted, not on the element in the
-    adapted basis."""
+    the element's own map, built by _oracle_polynomial_map, with W y
+    substituted, not on the element in the adapted basis."""
     alg = a.algebra
     n = alg.dim
     if n == 0:
@@ -364,7 +402,7 @@ def _oracle_fixed_point(a):
     w, winv, depth_of, _ = alg.adapted_frame()
     wy = _linear_polys(w)
     xs = [MPoly.variable(n, i) for i in range(n)]
-    fwy = [c.substitute(wy) for c in a.as_polynomial_map().components]
+    fwy = [c.substitute(wy) for c in _oracle_polynomial_map(a).components]
     g = []
     for i in range(n):
         acc = -xs[i]
@@ -532,9 +570,10 @@ def test_descent_in_the_adapted_basis_substitutes_once_per_component(monkeypatch
     monkeypatch.setattr(MPoly, "substitute",
                         lambda self, args: calls.append(1) or original(self, args))
     assert fixed_point_solve(elem) == (F(0), F(1, 2), F(0))
-    # 3 for the law at the element, 3 for the layer equations; the W y
-    # route of the oracle adds 3 more
-    assert len(calls) == 6
+    # 1 for the law's one nonlinear component at the element, 3 for the
+    # layer equations; the oracle substitutes into all 3 components of the
+    # law and adds 3 for the W y route
+    assert len(calls) == 4
     del calls[:]
     assert _oracle_fixed_point(elem) == (F(0), F(1, 2), F(0))
     assert len(calls) == 9
@@ -554,6 +593,31 @@ def test_ball_walk_multiplies_each_holonomy_letter_pair_once(name, monkeypatch):
     inner = {elem.hol for word, elem in ball if len(word.split()) < 3}
     pairs = {(h, letter) for h in inner for letter in letters}
     assert 0 < len(calls) <= len(pairs) < len(ball)
+
+
+@pytest.mark.parametrize("name", ["hantzsche_wendt", "sol3"])
+def test_ball_elements_with_equal_holonomy_share_one_holonomy_object(name):
+    gamma = bundles.load(name).gamma
+    first = {}
+    for _, elem in gamma.enumerate_ball(3):
+        assert first.setdefault(elem.hol, elem.hol) is elem.hol
+
+
+@pytest.mark.parametrize("name", ["hantzsche_wendt", "sol3"])
+def test_clearing_the_canonical_holonomies_mid_walk_changes_no_element(name):
+    gamma = bundles.load(name).gamma
+    want = list(gamma.enumerate_ball(3))
+    got = []
+    for k, item in enumerate(gamma.enumerate_ball(3)):
+        if k in (5, len(want) // 2):
+            # the product memo returns canonical instances too: without
+            # clearing it, the cleared table would refill with the same ones
+            _canonical.cache_clear()
+            _hol_product.cache_clear()
+        got.append(item)
+    assert [w for w, _ in got] == [w for w, _ in want]
+    assert [e for _, e in got] == [e for _, e in want]
+    assert any(a.hol is not b.hol for (_, a), (_, b) in zip(got, want))
 
 
 # ------------------------------------------------------------------
