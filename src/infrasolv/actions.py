@@ -284,7 +284,7 @@ class GammaActionData:
             letters.append((name, 1, g))
             letters.append((name, -1, g.inverse()))
         ident = AffineElement.identity(self.algebra)
-        seen = {ident: ""}
+        seen = {ident}
         yield "", ident
         frontier = [((), ident)]
         for _ in range(radius):
@@ -297,8 +297,8 @@ class GammaActionData:
                     new_elem = elem.compose(gel)
                     if new_elem in seen:
                         continue
+                    seen.add(new_elem)
                     ws = " ".join(n if s == 1 else f"{n}^-1" for n, s in new_word)
-                    seen[new_elem] = ws
                     yield ws, new_elem
                     nxt.append((new_word, new_elem))
             frontier = nxt
@@ -330,13 +330,6 @@ def action_degree_bound(algebra: NilpotentLieAlgebra) -> int:
 # ------------------------------------------------------------------
 # fixed points by descent along the lower central series
 
-def _pad(poly: MPoly, nvars: int) -> MPoly:
-    if poly.nvars == nvars:
-        return poly
-    return MPoly(nvars, {e + (0,) * (nvars - poly.nvars): c
-                         for e, c in poly.terms.items()})
-
-
 @lru_cache(maxsize=LAYER_CACHE_SIZE)
 def _layer_reduction(block):
     """One elimination of [M | I] for a layer's coefficient block M.
@@ -367,13 +360,17 @@ def _combine(coeffs, polys, nvars):
 def fixed_point_solve(a: AffineElement):
     """A rational fixed point of the affine map, or None if none exists over R.
 
-    Descends the lower central series: in coordinates adapted to the
-    filtration, the depth-k block of the fixed-point equation is linear in
-    depth-k coordinates with a constant matrix (brackets strictly increase
-    depth), and its right-hand side is polynomial in the free parameters
-    kept from shallower layers. Consistency rows that touch parameters
-    affinely shrink the parameter space exactly; absence answers are rank
-    conditions, hence valid over R as well as Q.
+    Descends the lower central series in coordinates adapted to it. Each
+    coordinate is its own parameter, and every template is a polynomial in
+    the same n variables. The depth-k block of the fixed-point equation is
+    linear in the depth-k coordinates with a constant matrix (brackets
+    strictly increase depth), and its right-hand side is polynomial in the
+    shallower templates. A free coordinate keeps its variable; a pivot
+    coordinate becomes its reduced right-hand side minus its layer's free
+    variables. A consistency row that is affine in the surviving variables
+    replaces its pivot variables by a particular solution plus kernel
+    combinations of the others; absence answers are rank conditions, hence
+    valid over R as well as Q. The point sets every surviving variable to 0.
     """
     alg = a.algebra
     n = alg.dim
@@ -386,107 +383,60 @@ def fixed_point_solve(a: AffineElement):
     w, winv, depth_of, adapted = alg.adapted_frame()
     elem = a if adapted is alg else AffineElement.from_coords(
         adapted, winv.apply(a.u), winv * a.hol * w)
-    g = [c - MPoly.variable(n, i)
-         for i, c in enumerate(elem.as_polynomial_map().components)]
+    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    xs = [MPoly._trusted(n, {e: Fraction(1)}) for e in units]
+    g = [c - x for c, x in zip(elem.as_polynomial_map().components, xs)]
 
     for i in range(n):  # the depth argument, checked
         for exps in g[i].terms:
-            for j, e in enumerate(exps):
-                if e and depth_of[j] > depth_of[i]:
-                    raise AssertionError("depth filtration violated in descent")
+            if any(e and (depth_of[j] > depth_of[i]
+                          or depth_of[j] == depth_of[i] and sum(exps) > 1)
+                   for j, e in enumerate(exps)):
+                raise AssertionError("depth filtration violated in descent")
 
-    max_depth = max(depth_of) if depth_of else 0
-    templ: list = [None] * n  # per adapted coordinate, MPoly in current params
-    nparams = 0
-    for d in range(max_depth + 1):
+    zero = MPoly.zero(n)
+    templ = list(xs)  # per adapted coordinate, in the surviving variables
+    for d in range(max(depth_of) + 1):
         idx = [i for i in range(n) if depth_of[i] == d]
-        m = len(idx)
-        total = nparams + m
-        repl = []
-        for j in range(n):
-            if depth_of[j] < d:
-                repl.append(_pad(templ[j], total))
-            elif j in idx:
-                repl.append(MPoly.variable(total, nparams + idx.index(j)))
-            else:
-                repl.append(MPoly.zero(total))
-        rows, rhs = [], []
-        for i in idx:
-            eq = g[i].substitute(repl)
-            coeff = [Fraction(0)] * m
-            param_part = {}
-            for exps, c in eq.terms.items():
-                upart = exps[nparams:]
-                if any(upart):
-                    if sum(upart) != 1 or any(exps[:nparams]):
-                        raise AssertionError("descent equations not linear in layer unknowns")
-                    coeff[upart.index(1)] += c
-                else:
-                    param_part[exps[:nparams]] = c
-            rows.append(coeff)
-            rhs.append(-MPoly(nparams, param_part))
-
-        reduced, ops, pivots = _layer_reduction(tuple(map(tuple, rows)))
-        rhs = [_combine(row, rhs, nparams) for row in ops]
+        reduced, ops, pivots = _layer_reduction(tuple(
+            tuple(g[i].terms.get(units[j], Fraction(0)) for j in idx) for i in idx))
+        repl = [templ[j] if depth_of[j] < d else zero for j in range(n)]
+        eqs = [g[i].substitute(repl) for i in idx]
+        rhs = [_combine([-c for c in row], eqs, n) for row in ops]
         r = len(pivots)
 
         constraints = []
-        for i in range(r, m):
-            resid = rhs[i]
+        for resid in rhs[r:]:
             if resid.is_zero():
                 continue
             if resid.degree() == 0:
                 return None  # 0 = nonzero constant: no fixed point over any field
-            if resid.degree() == 1:
-                constraints.append(resid)
-            else:
+            if resid.degree() > 1:
                 raise FixedPointScopeError(
                     "consistency condition of degree "
                     f"{resid.degree()} in layer parameters (nilpotency class >= 3)")
+            constraints.append(resid.linear_decomposition())
 
         if constraints:
-            cm = []
-            cb = []
-            for con in constraints:
-                const, lin, _ = con.linear_decomposition()
-                cm.append(lin)
-                cb.append(-const)
-            sol, ker = solve(RationalMatrix(cm), cb)
+            sol, ker = solve(RationalMatrix([lin for _, lin, _ in constraints]),
+                             [-const for const, _, _ in constraints])
             if sol is None:
                 return None
-            newp = len(ker)
-            subst = []
-            for j in range(nparams):
-                p = MPoly.constant(newp, sol[j])
-                for t, kv in enumerate(ker):
-                    if kv[j]:
-                        p = p + MPoly.variable(newp, t) * kv[j]
-                subst.append(p)
-            for j in range(n):
-                if templ[j] is not None:
-                    templ[j] = templ[j].substitute(subst) if nparams else _pad(templ[j], newp)
-            rhs = [(p.substitute(subst) if nparams else _pad(p, newp)) for p in rhs]
-            nparams = newp
+            # each kernel vector is 1 at its free column, the last one it touches
+            kept = [xs[max(j for j, v in enumerate(kv) if v)] for kv in ker]
+            one = MPoly.constant(n, 1)
+            subst = [_combine([sol[j]] + [kv[j] for kv in ker], [one] + kept, n)
+                     for j in range(n)]
+            templ = [t.substitute(subst) if depth_of[j] < d else t
+                     for j, t in enumerate(templ)]
+            rhs = [p.substitute(subst) for p in rhs[:r]]
 
-        free = [c for c in range(m) if c not in pivots]
-        total = nparams + len(free)
-        for t, c in enumerate(free):
-            templ[idx[c]] = MPoly.variable(total, nparams + t)
-        for rr, c in enumerate(pivots):
-            expr = _pad(rhs[rr], total)
-            for t, fc in enumerate(free):
-                f = reduced[rr][fc]
-                if f:
-                    expr = expr - MPoly.variable(total, nparams + t) * f
-            templ[idx[c]] = expr
-        for j in range(n):
-            if templ[j] is not None:
-                templ[j] = _pad(templ[j], total)
-        nparams = total
+        free = [c for c in range(len(idx)) if c not in pivots]
+        for row, c, b in zip(reduced, pivots, rhs):
+            templ[idx[c]] = _combine([1] + [-row[f] for f in free],
+                                     [b] + [xs[idx[f]] for f in free], n)
 
-    zeros = (Fraction(0),) * nparams
-    y = [templ[i].eval(zeros) for i in range(n)]
-    point = w.apply(y)
+    point = w.apply([t.constant_term() for t in templ])
     if a.apply(point) != point:
         raise AssertionError("descent produced a non-fixed point")
     return point

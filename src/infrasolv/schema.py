@@ -53,6 +53,15 @@ def _want(obj, key, kind, path, optional=False, default=None):
     return val
 
 
+def _strings(obj, key, path, what="a string"):
+    """The optional array of strings under key; [] when absent."""
+    vals = _want(obj, key, list, path, optional=True, default=[])
+    for i, val in enumerate(vals):
+        if not isinstance(val, str):
+            raise SchemaError(f"{path}.{key}[{i}]", f"expected {what}")
+    return vals
+
+
 def _row(entries, path):
     """Fractions of a list of integers or fraction strings."""
     out = []
@@ -116,9 +125,9 @@ def _algebra(obj, path) -> NilpotentLieAlgebra:
         raise SchemaError(path, "missing key 'ambient'")
     ambient = _matrix_list(obj["ambient"], f"{path}.ambient")
     brackets = _brackets(obj, path)
+    labels = _strings(obj, "labels", path)
     try:
-        return NilpotentLieAlgebra(dim, brackets, labels=obj.get("labels"),
-                                   ambient=ambient)
+        return NilpotentLieAlgebra(dim, brackets, labels=labels, ambient=ambient)
     except (ValueError, TypeError) as exc:
         raise SchemaError(path, f"algebra rejected: {exc}") from None
 
@@ -154,15 +163,9 @@ def _gamma(obj, path, algebra) -> GammaActionData:
                      matrix(_want(g, "translation_matrix", list, gp),
                             f"{gp}.translation_matrix"),
                      matrix(_want(g, "hol_matrix", list, gp), f"{gp}.hol_matrix")))
-    relators = _want(obj, "relators", list, path, optional=True, default=[])
-    for i, r in enumerate(relators):
-        if not isinstance(r, str):
-            raise SchemaError(f"{path}.relators[{i}]", "expected a word string")
+    relators = _strings(obj, "relators", path, "a word string")
     hirsch_rank = _want(obj, "hirsch_rank", int, path, optional=True)
-    labels = _want(obj, "fitting_labels", list, path, optional=True, default=[])
-    for i, lab in enumerate(labels):
-        if not isinstance(lab, str):
-            raise SchemaError(f"{path}.fitting_labels[{i}]", "expected a string")
+    labels = _strings(obj, "fitting_labels", path)
     names = [name for name, _, _ in gens]
     if len(set(names)) != len(names):
         raise SchemaError(f"{path}.generators", "duplicate generator names")

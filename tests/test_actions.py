@@ -5,17 +5,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from infrasolv import bundles
+from infrasolv import actions, bundles
 from infrasolv.actions import (POWER_ENTRY_BITS, AffineElement,
                                FixedPointScopeError, GammaActionData,
-                               _canonical, _hol_product, _pad,
-                               action_degree_bound,
+                               _canonical, _hol_product, action_degree_bound,
                                emit_polynomial_action, fixed_point_solve,
                                freeness_check, is_lie_automorphism,
                                orbit_sample, parse_word,
                                right_translation_map, torus_rank)
 from infrasolv.cli import main
-from infrasolv.hull import SplitHullData
+from infrasolv.hull import SplitHullData, hol_from_ambient
 from infrasolv.lie import (NilpotentLieAlgebra, UnipotentGroupData,
                            _linear_polys, lie_closure, nilp_exp, unip_log)
 from infrasolv.linalg import RationalMatrix, solve
@@ -316,7 +315,7 @@ def test_pure_translation_takes_no_polynomial_map(monkeypatch):
     original = AffineElement.as_polynomial_map
     monkeypatch.setattr(AffineElement, "as_polynomial_map",
                         lambda self: calls.append(self) or original(self))
-    alg, up = heisenberg(), _upper4_algebra()
+    alg, up = heisenberg(), _upper_algebra(4)
     for elem in (translation(alg, 1, 0, 0), translation(alg, 0, 0, 3),
                  AffineElement.from_coords(up, (0, 0, 0, 0, 0, F(1, 2)),
                                            RationalMatrix.identity(6))):
@@ -348,13 +347,13 @@ def test_central_translation_with_holonomy():
     assert g.apply(p) == p
 
 
-def _upper4_algebra():
-    gens = tuple(nilp_exp(_elem(i, i + 1, 4)) for i in range(3))
-    return lie_closure(UnipotentGroupData(generators=gens, dim_ambient=4))
+def _upper_algebra(n):
+    gens = tuple(nilp_exp(_elem(i, i + 1, n)) for i in range(n - 1))
+    return lie_closure(UnipotentGroupData(generators=gens, dim_ambient=n))
 
 
 def test_class_three_fixed_point_is_found_exactly():
-    alg = _upper4_algebra()
+    alg = _upper_algebra(4)
     assert alg.nilpotency_class() == 3
     d = RationalMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
     cols = [alg.coords_of_matrix(d * b * d.inverse()) for b in alg.ambient]
@@ -368,7 +367,7 @@ def test_scope_error_on_nonlinear_consistency_row():
     # a depth-preserving linear part that does not preserve brackets makes
     # the quadratic consistency row reachable; the solver must refuse
     # rather than guess
-    alg = _upper4_algebra()
+    alg = _upper_algebra(4)
     lin = RationalMatrix([[1, 0, 0, 0, 0, 0], [0, -1, 0, 0, 0, 0],
                           [0, 0, 1, 0, 0, 0], [0, 0, 0, -1, 0, 0],
                           [0, 0, 0, 0, -1, 0], [0, 0, 0, 0, 0, 1]])
@@ -388,6 +387,13 @@ def _oracle_polynomial_map(a):
           for row in a.hol.data]
     args = [MPoly.constant(n, c) for c in a.u] + ax
     return PolynomialMap([c.substitute(args) for c in a.algebra.group_law()])
+
+
+def _pad(poly: MPoly, nvars: int) -> MPoly:
+    if poly.nvars == nvars:
+        return poly
+    return MPoly(nvars, {e + (0,) * (nvars - poly.nvars): c
+                         for e, c in poly.terms.items()})
 
 
 def _oracle_fixed_point(a):
@@ -516,7 +522,7 @@ def test_fixed_point_solve_matches_gauss_jordan_oracle_on_balls(name):
 
 
 def test_fixed_point_solve_matches_gauss_jordan_oracle_at_class_three():
-    alg = _upper4_algebra()
+    alg = _upper_algebra(4)
     d = RationalMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
     flip = RationalMatrix.from_columns(
         [alg.coords_of_matrix(d * b * d.inverse()) for b in alg.ambient])
@@ -557,6 +563,36 @@ def test_fixed_point_solve_matches_oracle_in_a_non_adapted_basis():
             assert got == _outcome(_oracle_fixed_point, elem)
             outcomes.add(got is None)
     assert outcomes == {True, False}
+
+
+def _triangular_conjugation(alg, n, rng):
+    """The holonomy of conjugation by a seeded upper-triangular n x n matrix:
+    diagonal entries in {1, -1, 2}, entries above it in {0, 1, -1}. Equal
+    neighbours on the diagonal are drawn often: they make layer blocks
+    singular, where consistency constraints arise."""
+    diag = [rng.choice((1, -1, 2))]
+    for _ in range(n - 1):
+        diag.append(diag[-1] if rng.random() < 0.5 else rng.choice((1, -1, 2)))
+    t = RationalMatrix([[diag[r] if r == c else rng.choice((0, 1, -1)) if c > r else 0
+                         for c in range(n)] for r in range(n)])
+    return hol_from_ambient(alg, t)
+
+
+def test_fixed_point_solve_matches_oracle_through_consistency_constraints(monkeypatch):
+    calls = []
+    monkeypatch.setattr(actions, "solve", lambda *args: calls.append(1) or solve(*args))
+    rng = random.Random(2)
+    for n in (4, 5):
+        alg = _upper_algebra(n)
+        for _ in range(20):
+            hol = _triangular_conjugation(alg, n, rng)
+            for _ in range(10):
+                u = tuple(rng.choice((F(0), F(1), F(-1, 2))) for _ in range(alg.dim))
+                elem = AffineElement.from_coords(alg, u, hol)
+                assert _outcome(fixed_point_solve, elem) == _outcome(_oracle_fixed_point, elem)
+    # the oracle calls linalg.solve through its own binding: these are the
+    # descent's constraint passes
+    assert len(calls) >= 20, len(calls)
 
 
 def test_descent_in_the_adapted_basis_substitutes_once_per_component(monkeypatch):

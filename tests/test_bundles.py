@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from infrasolv import bundles, hull, jordan, schema
+from infrasolv.cli import main
 from infrasolv.linalg import RationalMatrix
 from infrasolv.schema import SchemaError, load_bundle
 
@@ -136,6 +137,32 @@ def test_schema_rejects_booleans_as_integers(good, where, value, path):
     with pytest.raises(SchemaError) as exc:
         load_bundle(good)
     assert exc.value.path == path, exc.value
+
+
+@pytest.mark.parametrize("labels, path", [
+    ("xyz", "$.hull.lie_algebra.labels"),
+    ({"a": 1, "b": 2, "c": 3}, "$.hull.lie_algebra.labels"),
+    ([True, 1, None], "$.hull.lie_algebra.labels[0]"),
+    (["x", "y", 3], "$.hull.lie_algebra.labels[2]")],
+    ids=["string", "object", "non-strings", "one-non-string"])
+def test_schema_rejects_labels_that_are_not_strings(good, labels, path, tmp_path, capsys):
+    good["hull"]["lie_algebra"]["labels"] = labels
+    with pytest.raises(SchemaError) as exc:
+        load_bundle(good)
+    assert exc.value.path == path, exc.value
+    p = tmp_path / "b.json"
+    p.write_text(json.dumps(good))
+    assert main(["validate", str(p)]) == 2
+    assert capsys.readouterr().err.startswith(f"invalid bundle: {path}: ")
+
+
+def test_schema_label_list_loads_and_its_count_is_checked(good):
+    good["hull"]["lie_algebra"]["labels"] = ["x", "y", "z"]
+    assert load_bundle(good).hull.algebra.labels == ("x", "y", "z")
+    good["hull"]["lie_algebra"]["labels"] = ["x", "y"]
+    with pytest.raises(SchemaError, match="label count does not match dimension") as exc:
+        load_bundle(good)
+    assert exc.value.path == "$.hull.lie_algebra"
 
 
 def _count_calls(monkeypatch, function):

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from test_actions import _upper4_algebra
+from test_actions import _upper_algebra
 from test_lie import _conjugated_unitriangular_sets
 
 from infrasolv import bundles
@@ -236,7 +236,7 @@ def test_class_three_law_matches_ambient_products():
 @pytest.mark.parametrize("name", bundles.builtin_names() + ["upper4"])
 def test_group_product_matches_law_polynomials(name):
     # the reference is the law evaluated one MPoly component at a time
-    alg = _upper4_algebra() if name == "upper4" else bundles.load(name).hull.algebra
+    alg = _upper_algebra(4) if name == "upper4" else bundles.load(name).hull.algebra
     rng = random.Random(f"{SEED}-product-{name}")
     for _ in range(10):
         x, y = (tuple(F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(alg.dim))
@@ -247,12 +247,6 @@ def test_group_product_matches_law_polynomials(name):
             c.eval(tuple(map(int, x)) + y) for c in alg.group_law())
     with pytest.raises(ValueError):
         alg.group_product(x, y[1:])
-
-
-def _upper_unitriangular(d):
-    steps = tuple(RationalMatrix([[int(r == c or (r, c) == (i, i + 1)) for c in range(d)]
-                                  for r in range(d)]) for i in range(d - 1))
-    return lie_closure(UnipotentGroupData(generators=steps, dim_ambient=d))
 
 
 def _changed_basis_closure():
@@ -272,7 +266,7 @@ def test_law_from_structure_constants_matches_symbolic_matrices(name):
     if name == "changed_basis":
         alg = _changed_basis_closure()
     elif name.startswith("upper"):
-        alg = _upper_unitriangular(int(name[-1]))
+        alg = _upper_algebra(int(name[-1]))
         assert alg.nilpotency_class() == int(name[-1]) - 1
     else:
         alg = bundles.load(name).hull.algebra

@@ -15,8 +15,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from test_actions import _oracle_polynomial_map
-from test_group_law import _upper_unitriangular
+from test_actions import _oracle_polynomial_map, _upper_algebra
 
 from infrasolv import bundles
 from infrasolv.actions import (AffineElement, is_lie_automorphism,
@@ -170,7 +169,7 @@ def test_hot_path_matches_the_plain_routes_on_radius_three_balls(name):
 
 @pytest.mark.parametrize("d", [4, 5])
 def test_hot_path_matches_the_plain_routes_on_unitriangular_algebras(d):
-    alg = _upper_unitriangular(d)
+    alg = _upper_algebra(d)
     assert alg.nilpotency_class() == d - 1
     rng = random.Random(f"{SEED}-upper{d}")
     _check_algebra(alg, rng)
@@ -210,7 +209,7 @@ def test_apply_matches_the_dense_product_on_seeded_matrices():
 
 def test_polynomial_arithmetic_matches_the_validating_constructor():
     rng = random.Random(f"{SEED}-mpoly")
-    polys = [c for comp in (_upper_unitriangular(4).group_law(),
+    polys = [c for comp in (_upper_algebra(4).group_law(),
                             bundles.load("heisenberg_infra").hull.algebra.group_law())
              for c in comp]
     for _ in range(30):

@@ -3,10 +3,11 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from test_actions import _triangular_conjugation, _upper_algebra
 
 from infrasolv import bundles
 from infrasolv.actions import (AffineElement, GammaActionData,
-                               right_translation_map)
+                               is_lie_automorphism, right_translation_map)
 from infrasolv.hull import (CosetExtension, FittingResult, InductionError,
                             SplitHullData, alpha_T, conjugacy_transport,
                             finite_order_bound, fitting_radical_check,
@@ -67,6 +68,19 @@ def test_hol_from_ambient_oracle():
     assert hol_from_ambient(alg, t) == RationalMatrix([[1, 0], [0, -1]])
     with pytest.raises(ValueError):
         hol_from_ambient(alg, RationalMatrix([[1, 0, 0], [0, 1, 0], [1, 0, 1]]))
+
+
+def test_hol_matrices_are_lie_automorphisms():
+    # SplitHullData does not check it: conjugation by an invertible t that
+    # maps every basis matrix into u is a bracket-preserving bijection of u
+    for name in bundles.builtin_names():
+        hull = bundles.load(name).hull
+        assert all(is_lie_automorphism(hull.algebra, h) for h in hull.hol_matrices)
+    rng = random.Random(3)
+    for n in (3, 4, 5):
+        alg = _upper_algebra(n)
+        for _ in range(4):
+            assert is_lie_automorphism(alg, _triangular_conjugation(alg, n, rng))
 
 
 def test_split_hull_validation():
