@@ -65,7 +65,7 @@ def is_lie_automorphism(algebra: NilpotentLieAlgebra, a: RationalMatrix) -> bool
 class AffineElement:
     """Pair (u, hol): p -> mu(u, hol p), u the coordinates of the translation."""
 
-    __slots__ = ("algebra", "u", "hol", "_translation", "_pmap")
+    __slots__ = ("algebra", "u", "hol", "_translation", "_pmap", "_hash")
 
     def __init__(self, algebra, translation, hol):
         """Build from an ambient unipotent translation matrix and hol."""
@@ -77,7 +77,7 @@ class AffineElement:
         self.u = algebra.coords_of_matrix(log)  # raises if outside u
         self.hol = _canonical(hol)
         self._translation = translation
-        self._pmap = None
+        self._pmap = self._hash = None
         if not is_lie_automorphism(algebra, hol):
             raise ValueError("holonomy part is not a Lie algebra automorphism")
 
@@ -88,8 +88,7 @@ class AffineElement:
         self.algebra = algebra
         self.u = tuple(u)
         self.hol = _canonical(hol)
-        self._translation = None
-        self._pmap = None
+        self._translation = self._pmap = self._hash = None
         return self
 
     @property
@@ -104,7 +103,10 @@ class AffineElement:
                 and self.u == other.u and self.hol == other.hol)
 
     def __hash__(self):
-        return hash((self.u, self.hol))
+        # computed once: the word ball's set hashes each element it meets
+        if self._hash is None:
+            self._hash = hash((self.u, self.hol))
+        return self._hash
 
     def __repr__(self):
         return f"AffineElement(u=exp{tuple(map(str, self.u))}, hol={self.hol!r})"
@@ -126,7 +128,7 @@ class AffineElement:
             _hol_product(self.hol, other.hol))
 
     def inverse(self) -> "AffineElement":
-        hinv = self.hol.inverse()
+        hinv = _hol_inverse(self.hol)
         return AffineElement.from_coords(
             self.algebra, tuple(-x for x in hinv.apply(self.u)), hinv)
 
@@ -185,6 +187,12 @@ def _identity(n):
 def _hol_product(a, b):
     """a b, memoized by value: a word ball meets only a few holonomies."""
     return _canonical(a * b)
+
+
+@lru_cache(maxsize=LAYER_CACHE_SIZE)
+def _hol_inverse(h):
+    """h^-1, memoized by value: relators, powers and ball letters reuse it."""
+    return _canonical(h.inverse())
 
 
 # ------------------------------------------------------------------
@@ -295,9 +303,10 @@ class GammaActionData:
                         continue  # free reduction
                     new_word = word + ((name, sgn),)
                     new_elem = elem.compose(gel)
-                    if new_elem in seen:
+                    size = len(seen)
+                    seen.add(new_elem)  # one hash and one lookup per candidate
+                    if len(seen) == size:
                         continue
-                    seen.add(new_elem)
                     ws = " ".join(n if s == 1 else f"{n}^-1" for n, s in new_word)
                     yield ws, new_elem
                     nxt.append((new_word, new_elem))

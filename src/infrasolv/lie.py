@@ -20,7 +20,7 @@ from math import comb, factorial
 
 from .jordan import is_unipotent
 from .linalg import (RationalMatrix, _frac, complement, intersect_kernels,
-                     rref_basis, solve_many)
+                     rref_basis, solve_many, sparse_sum)
 from .polynomial import MPoly
 
 
@@ -124,7 +124,7 @@ class NilpotentLieAlgebra:
 
     def __init__(self, dim, brackets, labels=None, ambient=None, validate=True):
         self.dim = dim
-        self.labels = tuple(labels) if labels else tuple(f"e{i+1}" for i in range(dim))
+        self.labels = tuple(labels if labels is not None else (f"e{i+1}" for i in range(dim)))
         if len(self.labels) != dim:
             raise ValueError("label count does not match dimension")
         table = {}
@@ -212,13 +212,11 @@ class NilpotentLieAlgebra:
     def matrix_from_coords(self, coords) -> RationalMatrix:
         if self.ambient is None or not self.ambient:
             raise ValueError("algebra has no ambient matrices")
+        # one pass: sum_k c_k * b_k over each b_k's nonzero entries, row by row
+        terms = [(c, b.sparse_rows()) for c, b in zip(map(_frac, coords), self.ambient) if c]
         d = self.ambient[0].rows
-        acc = RationalMatrix.zero(d, d)
-        for c, b in zip(coords, self.ambient):
-            c = _frac(c)
-            if c:
-                acc = acc + b.scale(c)
-        return acc
+        return RationalMatrix._trusted(
+            [sparse_sum([(c, rows[i]) for c, rows in terms], d) for i in range(d)])
 
     def coord_functional(self) -> RationalMatrix:
         """Left inverse L (dim x d^2) of the flattened basis: coords = L @ flat(X)."""

@@ -1,6 +1,10 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Everything in this package runs on Fraction entries; no floats anywhere.
+A matrix is stored dense. Its sparse row view, built once, lists each row's
+nonzero (column, entry) pairs, an entry of +-1 as the int: `apply` and the
+row-by-row product `__mul__` (Gustavson 1978) read it, so they multiply only
+nonzero entries, and +-1 costs a copy or a negation.
 There is one elimination routine, `_bareiss`: a fraction-free forward pass
 on integer-scaled rows, which keeps intermediate entries small. Everything
 else derives from it:
@@ -10,6 +14,7 @@ else derives from it:
   output; `kernel`, `solve`, `solve_many`, `rref_basis`, `fixed_space` and
   `inverse` (one reduction of [M | I]) read it, and so does
   `actions.fixed_point_solve`, which reduces each layer as [M | I].
+  `actions` memoizes holonomy inverses, so no holonomy is reduced twice.
 """
 
 from __future__ import annotations
@@ -32,6 +37,9 @@ def frac_to_str(x: Fraction) -> str:
     return str(x)
 
 
+_ZERO = Fraction(0)
+
+
 class RationalMatrix:
     """Immutable dense matrix with Fraction entries."""
 
@@ -44,14 +52,29 @@ class RationalMatrix:
         ncols = len(data[0])
         if ncols == 0 or any(len(r) != ncols for r in data):
             raise ValueError("ragged or empty rows")
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", ncols)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_sparse", None)
+        self._fill(data)
+
+    @classmethod
+    def _trusted(cls, rows):
+        """A matrix of rows of Fractions, as the arithmetic builds them; no checks."""
+        return object.__new__(cls)._fill(tuple(map(tuple, rows)))
+
+    def _fill(self, data):
+        for name, value in (("data", data), ("rows", len(data)), ("cols", len(data[0])),
+                            ("_hash", None), ("_sparse", None)):
+            object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("RationalMatrix is immutable")
+
+    def sparse_rows(self):
+        """The sparse row view: each row's nonzero (column, entry) pairs; built once."""
+        if self._sparse is None:
+            object.__setattr__(self, "_sparse", tuple(
+                tuple((j, int(a) if a in (1, -1) else a) for j, a in enumerate(row) if a)
+                for row in self.data))
+        return self._sparse
 
     @staticmethod
     def identity(n: int) -> "RationalMatrix":
@@ -100,30 +123,31 @@ class RationalMatrix:
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch in addition")
-        return RationalMatrix([[a + b for a, b in zip(r, s)]
-                               for r, s in zip(self.data, other.data)])
+        return RationalMatrix._trusted([[a + b for a, b in zip(r, s)]
+                                        for r, s in zip(self.data, other.data)])
 
     def __sub__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch in subtraction")
-        return RationalMatrix([[a - b for a, b in zip(r, s)]
-                               for r, s in zip(self.data, other.data)])
+        return RationalMatrix._trusted([[a - b for a, b in zip(r, s)]
+                                        for r, s in zip(self.data, other.data)])
 
     def __neg__(self):
-        return RationalMatrix([[-a for a in r] for r in self.data])
+        return RationalMatrix._trusted([[-a for a in r] for r in self.data])
 
     def scale(self, c) -> "RationalMatrix":
         c = _frac(c)
-        return RationalMatrix([[c * a for a in r] for r in self.data])
+        return RationalMatrix._trusted([[c * a for a in r] for r in self.data])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        bt = tuple(zip(*other.data))  # columns of other
-        return RationalMatrix([[sum(a * b for a, b in zip(row, col))
-                                for col in bt] for row in self.data])
+        brows = other.sparse_rows()
+        return RationalMatrix._trusted([
+            sparse_sum([(a, brows[j]) for j, a in row], other.cols)
+            for row in self.sparse_rows()])
 
     __rmul__ = scale
 
@@ -142,23 +166,18 @@ class RationalMatrix:
         return acc
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(list(zip(*self.data)))
+        return RationalMatrix._trusted(zip(*self.data))
 
     def apply(self, vec):
         """Matrix-vector product; vec is a sequence, result a tuple.
 
-        Runs over each row's (column, entry) pairs of nonzero entries, listed
-        once per matrix, with the int 1 or -1 for an entry of +-1: a copy or
-        a negation, so a signed permutation multiplies nothing."""
+        Runs over the sparse row view: an entry of +-1 is a copy or a
+        negation, so a signed permutation multiplies nothing."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         v = [x if isinstance(x, Fraction) else _frac(x) for x in vec]
-        if self._sparse is None:
-            object.__setattr__(self, "_sparse", tuple(
-                tuple((j, int(a) if a in (1, -1) else a) for j, a in enumerate(row) if a)
-                for row in self.data))
         out = []
-        for row in self._sparse:
+        for row in self._sparse or self.sparse_rows():
             acc = None
             for j, a in row:
                 t = (v[j] if a > 0 else -v[j]) if type(a) is int else a * v[j]
@@ -204,6 +223,19 @@ class RationalMatrix:
     @staticmethod
     def from_json(obj) -> "RationalMatrix":
         return RationalMatrix(obj)
+
+
+def sparse_sum(terms, ncols):
+    """Sum of a * row over the (a, row) pairs of sparse rows, as ncols Fractions;
+    an int factor is +-1, so its products are copies or negations."""
+    acc = [None] * ncols
+    for a, row in terms:
+        for k, b in row:
+            t = ((b if a > 0 else -b) if type(a) is int
+                 else (a if b > 0 else -a) if type(b) is int else a * b)
+            acc[k] = t if acc[k] is None else acc[k] + t
+    return [_ZERO if x is None else x if type(x) is Fraction else Fraction(x)
+            for x in acc]
 
 
 def _integerize(data):
@@ -594,20 +626,20 @@ def min_poly(m: RationalMatrix) -> Poly:
     if not m.is_square():
         raise ValueError("minimal polynomial needs a square matrix")
     n = m.rows
-    result = Poly.one()
+    result, at_m = Poly.one(), None  # at_m = result(m), None while result = 1
     for i in range(n):
         e = tuple(Fraction(int(j == i)) for j in range(n))
         # skip if the running lcm already kills e_i
-        if all(x == 0 for x in result.eval_matrix(m).apply(e)):
+        if at_m is not None and not any(at_m.column(i)):
             continue
-        krylov = [e]
-        v = e
+        krylov, v = [e], e
         while True:
             v = m.apply(v)
             coeff, _ = solve(RationalMatrix.from_columns(krylov), v)
             if coeff is not None:
                 local = Poly(list(map(lambda c: -c, coeff)) + [1])
                 result = poly_lcm(result, local)
+                at_m = result.eval_matrix(m) if i + 1 < n else None
                 break
             krylov.append(v)
     return result

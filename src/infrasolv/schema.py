@@ -125,7 +125,7 @@ def _algebra(obj, path) -> NilpotentLieAlgebra:
         raise SchemaError(path, "missing key 'ambient'")
     ambient = _matrix_list(obj["ambient"], f"{path}.ambient")
     brackets = _brackets(obj, path)
-    labels = _strings(obj, "labels", path)
+    labels = _strings(obj, "labels", path) if "labels" in obj else None
     try:
         return NilpotentLieAlgebra(dim, brackets, labels=labels, ambient=ambient)
     except (ValueError, TypeError) as exc:

@@ -5,10 +5,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from infrasolv import actions, bundles
+from infrasolv import actions, bundles, linalg
 from infrasolv.actions import (POWER_ENTRY_BITS, AffineElement,
                                FixedPointScopeError, GammaActionData,
-                               _canonical, _hol_product, action_degree_bound,
+                               _canonical, _hol_inverse, _hol_product,
+                               action_degree_bound,
                                emit_polynomial_action, fixed_point_solve,
                                freeness_check, is_lie_automorphism,
                                orbit_sample, parse_word,
@@ -654,6 +655,44 @@ def test_clearing_the_canonical_holonomies_mid_walk_changes_no_element(name):
     assert [w for w, _ in got] == [w for w, _ in want]
     assert [e for _, e in got] == [e for _, e in want]
     assert any(a.hol is not b.hol for (_, a), (_, b) in zip(got, want))
+
+
+@pytest.mark.parametrize("name", ["hantzsche_wendt", "sol3"])
+def test_hol_inverse_is_one_canonical_instance_per_value(name):
+    for memo in (_canonical, _hol_product, _hol_inverse):
+        memo.cache_clear()
+    for g in bundles.load(name).gamma.generators.values():
+        inv = _hol_inverse(g.hol)
+        assert inv == g.hol.inverse()
+        assert _hol_inverse(RationalMatrix(g.hol.data)) is inv
+        assert _canonical(RationalMatrix(inv.data)) is inv
+        assert g.inverse().hol is inv
+        assert g.compose(g.inverse()).is_identity()
+
+
+def test_second_inverse_of_a_holonomy_runs_no_elimination(monkeypatch):
+    g = bundles.load("sol3").gamma.generators["s"]
+    _hol_inverse.cache_clear()
+    calls = []
+    rref = linalg._rref
+    monkeypatch.setattr(linalg, "_rref", lambda rows: calls.append(1) or rref(rows))
+    first = g.inverse()
+    assert len(calls) == 1
+    # an element with an equal holonomy in a new instance, and another u
+    other = AffineElement.from_coords(g.algebra, (F(1, 2), F(0), F(-3)),
+                                      RationalMatrix(g.hol.data))
+    second = other.inverse()
+    assert len(calls) == 1
+    assert second.hol is first.hol
+    assert second.compose(other).is_identity()
+
+
+def test_element_hash_is_computed_once_and_matches_equality():
+    gamma = bundles.load("heisenberg_infra").gamma
+    for _, elem in gamma.enumerate_ball(2):
+        assert hash(elem) == hash((elem.u, elem.hol)) == elem._hash
+        twin = AffineElement.from_coords(elem.algebra, elem.u, RationalMatrix(elem.hol.data))
+        assert twin == elem and hash(twin) == hash(elem)
 
 
 # ------------------------------------------------------------------

@@ -165,6 +165,17 @@ def test_schema_label_list_loads_and_its_count_is_checked(good):
     assert exc.value.path == "$.hull.lie_algebra"
 
 
+def test_schema_empty_label_list_is_a_wrong_count(good, tmp_path, capsys):
+    good["hull"]["lie_algebra"]["labels"] = []
+    p = tmp_path / "b.json"
+    p.write_text(json.dumps(good))
+    assert main(["validate", str(p)]) == 2
+    assert capsys.readouterr().err == ("invalid bundle: $.hull.lie_algebra: algebra "
+                                       "rejected: label count does not match dimension\n")
+    del good["hull"]["lie_algebra"]["labels"]
+    assert load_bundle(good).hull.algebra.labels == ("e1", "e2", "e3")
+
+
 def _count_calls(monkeypatch, function):
     """Counts calls of `function` through every binding in the package."""
     calls = []

@@ -230,6 +230,23 @@ def test_coords_round_trip():
     assert not alg.contains_matrix(M([[1, 0, 0], [0, 0, 0], [0, 0, 0]]))
 
 
+@pytest.mark.parametrize("name", bundles.builtin_names())
+def test_matrix_from_coords_matches_the_dense_sum(name):
+    rng = random.Random(f"20261018-coords-{name}")
+    b = bundles.load(name)
+    for alg in (b.hull.algebra, b.hull.algebra.adapted_frame()[3]):
+        n, d = alg.dim, alg.ambient[0].rows
+        points = [alg.basis_vector(i) for i in range(n)] + [(0,) * n, (1,) * n]
+        points += [tuple(rng.choice((0, 1, -1, 3, F(-2, 7), F(5, 3))) for _ in range(n))
+                   for _ in range(6)]
+        points += [g.u for g in b.gamma.generators.values()]
+        for coords in points:
+            got = alg.matrix_from_coords(coords)
+            assert got == M([[sum(F(c) * m[i, j] for c, m in zip(coords, alg.ambient))
+                              for j in range(d)] for i in range(d)])
+            assert all(type(x) is F for row in got.data for x in row)
+
+
 def test_json_round_trip():
     u_data = UnipotentGroupData(generators=(HEIS_X, HEIS_Y), dim_ambient=3)
     alg = lie_closure(u_data)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -308,3 +309,118 @@ def test_property_squarefree(m):
     for _ in range(m.rows):
         qn = qn * q
     assert (qn % char_poly(m)).is_zero()
+
+
+# ------------------------------------------------ against the dense routes
+
+SEED = 20261018
+SPARSE_ENTRIES = (0, 0, 0, 1, -1, 2, F(-1, 3), F(5, 2))
+DENSE_ENTRIES = (1, -1, 2, F(-1, 3), F(5, 2), F(7, 4))
+
+
+def _dense_product(a, b):
+    """The row-by-column product the sparse one replaced."""
+    return RationalMatrix([[sum(x * y for x, y in zip(row, col)) for col in zip(*b.data)]
+                           for row in a.data])
+
+
+def _per_vector_min_poly(m):
+    """The min_poly before: the running lcm evaluated at m for every basis vector."""
+    n = m.rows
+    result = Poly.one()
+    for i in range(n):
+        e = tuple(Fraction(int(j == i)) for j in range(n))
+        if all(x == 0 for x in result.eval_matrix(m).apply(e)):
+            continue
+        krylov, v = [e], e
+        while True:
+            v = m.apply(v)
+            coeff, _ = solve(RationalMatrix.from_columns(krylov), v)
+            if coeff is not None:
+                result = poly_lcm(result, Poly([-c for c in coeff] + [1]))
+                break
+            krylov.append(v)
+    return result
+
+
+def _random(rng, rows, cols, entries):
+    return M([[rng.choice(entries) for _ in range(cols)] for _ in range(rows)])
+
+
+def _signed_permutation(rng, n):
+    perm = rng.sample(range(n), n)
+    return M([[rng.choice((1, -1)) if perm[i] == j else 0 for j in range(n)]
+              for i in range(n)])
+
+
+def _assert_fractions(m):
+    assert all(type(x) is Fraction for row in m.data for x in row)
+
+
+def test_product_matches_the_dense_row_by_column_product():
+    rng = random.Random(f"{SEED}-product")
+    cases = []
+    for _ in range(40):
+        r, k, c = (rng.randint(1, 5) for _ in range(3))
+        n = rng.randint(1, 6)
+        perm = _signed_permutation(rng, n)
+        cases += [(_random(rng, r, k, SPARSE_ENTRIES), _random(rng, k, c, SPARSE_ENTRIES)),
+                  (_random(rng, r, k, DENSE_ENTRIES), _random(rng, k, c, DENSE_ENTRIES)),
+                  (perm, _signed_permutation(rng, n)),
+                  (perm, _random(rng, n, c, SPARSE_ENTRIES)),
+                  (_random(rng, r, n, DENSE_ENTRIES), perm),
+                  (RationalMatrix.zero(r, k), _random(rng, k, c, DENSE_ENTRIES)),
+                  (_random(rng, r, k, SPARSE_ENTRIES), RationalMatrix.zero(k, c))]
+    for a, b in cases:
+        got = a * b
+        assert got == _dense_product(a, b)
+        assert (got.rows, got.cols) == (a.rows, b.cols)
+        _assert_fractions(got)
+        for derived in (got + a * b, got - got, got.scale(F(2, 3)), -got, got.transpose()):
+            _assert_fractions(derived)
+    with pytest.raises(ValueError, match="shape mismatch in product"):
+        M([[1, 2]]) * M([[1, 2]])
+
+
+def test_signed_permutation_product_multiplies_no_fraction(monkeypatch):
+    rng = random.Random(f"{SEED}-signed")
+    a, b = _signed_permutation(rng, 6), _signed_permutation(rng, 6)
+    want = _dense_product(a, b)
+    calls = []
+    for name in ("__mul__", "__rmul__"):
+        original = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name,
+                            lambda x, y, f=original: calls.append(1) or f(x, y))
+    got = a * b
+    assert calls == []
+    assert F(2) * F(3) == 6 and 3 * F(2) == 6 and len(calls) == 2  # the counter counts
+    monkeypatch.undo()
+    assert got == want
+    _assert_fractions(got)
+
+
+def test_min_poly_matches_the_per_vector_route():
+    rng = random.Random(f"{SEED}-min-poly")
+    for _ in range(30):
+        n = rng.randint(2, 6)
+        m = _random(rng, n, n, rng.choice((SPARSE_ENTRIES, DENSE_ENTRIES)))
+        assert min_poly(m) == _per_vector_min_poly(m)
+        # repeated eigenvalues: a diagonal with repeats, conjugated by a
+        # unitriangular matrix
+        diag = [rng.choice((1, 2, F(-1, 2))) for _ in range(n)]
+        u = M([[1 if i == j else rng.choice(DENSE_ENTRIES) if j > i else 0
+                for j in range(n)] for i in range(n)])
+        m = u * M([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]) \
+            * u.inverse()
+        assert min_poly(m) == _per_vector_min_poly(m)
+
+
+def test_min_poly_evaluates_the_running_lcm_once_per_update(monkeypatch):
+    m = M([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 3]])
+    evals, updates = [], []
+    eval_matrix, lcm = Poly.eval_matrix, linalg.poly_lcm
+    monkeypatch.setattr(Poly, "eval_matrix", lambda p, x: evals.append(1) or eval_matrix(p, x))
+    monkeypatch.setattr(linalg, "poly_lcm", lambda a, b: updates.append(1) or lcm(a, b))
+    assert min_poly(m) == Poly([-1, 1]) * Poly([-2, 1]) * Poly([-3, 1])
+    assert len(updates) == 3
+    assert 0 < len(evals) <= len(updates)
