@@ -626,7 +626,7 @@ def min_poly(m: RationalMatrix) -> Poly:
     if not m.is_square():
         raise ValueError("minimal polynomial needs a square matrix")
     n = m.rows
-    result, at_m = Poly.one(), None  # at_m = result(m), None while result = 1
+    result, at_m = Poly.one(), None  # at_m = result(m) once result != 1 and e_i remain
     for i in range(n):
         e = tuple(Fraction(int(j == i)) for j in range(n))
         # skip if the running lcm already kills e_i
