@@ -18,9 +18,8 @@ from functools import lru_cache
 from fractions import Fraction
 from typing import Optional
 
-from .lie import (NilpotentLieAlgebra, _linear_polys, center, nilp_exp,
-                  unip_log)
-from .linalg import RationalMatrix, _frac, _rref, kernel, rank, solve
+from .lie import NilpotentLieAlgebra, _linear_polys, nilp_exp, unip_log
+from .linalg import RationalMatrix, _frac, _rref, intersect_kernels, rank, solve
 from .polynomial import MPoly, PolynomialMap
 
 
@@ -505,14 +504,9 @@ def torus_rank(gdata: GammaActionData, hull) -> int:
     alg = hull.algebra
     if gdata.algebra is not alg and gdata.algebra.dim != alg.dim:
         raise ValueError("group and hull algebras disagree")
-    cent = center(alg)
-    if not cent:
+    if not alg.dim:
         return 0
-    if not hull.hol_matrices:
-        return len(cent)
-    cmat = RationalMatrix.from_columns(cent)
-    stacked = []
-    for a in hull.hol_matrices:
-        diff = a * cmat - cmat
-        stacked.extend(list(r) for r in diff.data)
-    return len(kernel(RationalMatrix(stacked)))
+    ident = RationalMatrix.identity(alg.dim)
+    return len(intersect_kernels(
+        [alg.ad_matrix(alg.basis_vector(i)) for i in range(alg.dim)]
+        + [h - ident for h in hull.hol_matrices]))

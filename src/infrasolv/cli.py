@@ -253,8 +253,12 @@ def build_parser():
     return parser
 
 
+# built once: the workers are looked up in this module's globals at call time
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         obj, code = args.fn(args)
     except (OSError, json.JSONDecodeError) as exc:

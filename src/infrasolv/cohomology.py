@@ -4,8 +4,8 @@ The Chevalley-Eilenberg complex is the exterior algebra of the dual, with
 the differential fixed on degree one by the structure constants and
 extended as an antiderivation. Each differential d_k is built once as
 sparse columns: for each basis k-form, a dict from (k+1)-form index to its
-nonzero coefficient. `CEComplex.diff[k]` is the same map as a dense
-`RationalMatrix`, which `rank` reads.
+nonzero coefficient. `CEComplex.diff[k]` is the same map as a
+`RationalMatrix`, its sparse row view read off the columns.
 
 Holonomy matrices act contragrediently, by rho = hol^-T and its exterior
 powers. When rho is monomial (one nonzero in each row and each column, as
@@ -22,8 +22,9 @@ product:
   two independent routes, the cohomology of the invariant forms and the
   fixed part of the full cohomology, which must agree (AssertionError),
   and each route checks that the maps it restricts preserve the subspaces
-  (AssertionError). Each route solves for all of a degree's images in one
-  elimination (`linalg.solve_many`).
+  (AssertionError). Each route maps vectors by `RationalMatrix.apply`,
+  which runs over the sparse row view of d or of the action, and solves for
+  all of a degree's images in one elimination (`linalg.solve_many`).
 """
 
 from __future__ import annotations
@@ -68,29 +69,6 @@ def _compose(outer, inner):
                 acc[s] = acc.get(s, 0) + x * y
         out.append({s: v for s, v in acc.items() if v})
     return out
-
-
-def _apply(columns, nrows, vec):
-    """columns applied to vec, skipping zero entries; a dense tuple."""
-    out = [Fraction(0)] * nrows
-    for j, x in enumerate(vec):
-        if x:
-            for r, c in columns[j].items():
-                out[r] += x * c
-    return tuple(out)
-
-
-def _sparse_columns(mat):
-    return [{r: x for r, x in enumerate(col) if x} for col in zip(*mat.data)]
-
-
-def _dense(columns, nrows):
-    zero = Fraction(0)
-    data = [[zero] * len(columns) for _ in range(nrows)]
-    for c, col in enumerate(columns):
-        for r, x in col.items():
-            data[r][c] = x
-    return RationalMatrix(data)
 
 
 def _monomial(m):
@@ -138,7 +116,8 @@ class CEComplex:
         for k in range(n - 1):
             if any(_compose(self.columns[k + 1], self.columns[k])):
                 raise AssertionError("differential does not square to zero")
-        self.diff = [_dense(self.columns[k], len(self.basis[k + 1]))
+        self.diff = [RationalMatrix.from_sparse_columns(self.columns[k],
+                                                        len(self.basis[k + 1]))
                      for k in range(n)]
 
     def _d_basis_form(self, idx):
@@ -156,17 +135,8 @@ class CEComplex:
         return {k: v for k, v in out.items() if v}
 
     def betti_numbers(self):
-        n = self.dim
-        ranks = [rank(d) for d in self.diff]
-        out = []
-        for k in range(n + 1):
-            b = len(self.basis[k])
-            if k < n:
-                b -= ranks[k]
-            if k > 0:
-                b -= ranks[k - 1]
-            out.append(b)
-        return tuple(out)
+        return _betti([len(level) for level in self.basis],
+                      [rank(d) for d in self.diff])
 
     def action_matrices(self, hol: RationalMatrix):
         """Contragredient action of hol on each exterior degree.
@@ -187,7 +157,7 @@ class CEComplex:
                     != _compose(actions[k + 1], self.columns[k])):
                 raise ValueError("matrix does not act on the complex "
                                  "(not an algebra automorphism)")
-        return [_dense(cols, len(cols)) for cols in actions]
+        return [RationalMatrix.from_sparse_columns(cols, len(cols)) for cols in actions]
 
     def _monomial_image(self, mono, k, idx):
         key, sign = _sort_with_sign(tuple(mono[j][0] for j in idx))
@@ -207,6 +177,12 @@ class CEComplex:
         return out
 
 
+def _betti(sizes, ranks):
+    """b_k = sizes[k] - rank d_k - rank d_(k-1), where d_(-1) = d_n = 0."""
+    ranks = [0, *ranks, 0]
+    return tuple(size - ranks[k] - ranks[k + 1] for k, size in enumerate(sizes))
+
+
 def _minor(m, rows_idx, cols_idx):
     k = len(rows_idx)
     if k == 0:
@@ -223,31 +199,30 @@ def cohomology_ranks(algebra: NilpotentLieAlgebra,
     return CEComplex(algebra, max_dim=max_dim).betti_numbers()
 
 
-def _restrict(columns, nrows, dom_basis, cod_basis, what):
-    """Matrix of a sparse map between column-spanned subspaces; exact or raises."""
+def _restrict(mat, dom_basis, cod_basis):
+    """Matrix of the differential between column-spanned subspaces; exact or raises."""
     if not dom_basis:
         return None
-    images = [_apply(columns, nrows, v) for v in dom_basis]
+    images = [mat.apply(v) for v in dom_basis]
     if not cod_basis:
         if any(any(img) for img in images):
-            raise AssertionError(f"{what} does not preserve the subspace")
+            raise AssertionError("differential does not preserve the subspace")
         return None
     sols, _ = solve_many(RationalMatrix.from_columns(cod_basis), images)
     if None in sols:
-        raise AssertionError(f"{what} does not preserve the subspace")
+        raise AssertionError("differential does not preserve the subspace")
     return RationalMatrix.from_columns(sols)
 
 
-def _quotient_fixed_dim(actions, dim, z_basis, b_basis):
+def _quotient_fixed_dim(actions, z_basis, b_basis):
     """dim of the joint fixed space of the induced action on Z/B.
 
-    actions are sparse columns. The complement of B in Z is the greedy one,
-    `linalg.complement`.
+    The complement of B in Z is the greedy one, `linalg.complement`.
     """
     comp = complement(b_basis, z_basis)
     if not comp:
         return 0
-    images = [_apply(cols, dim, v) for cols in actions for v in comp]
+    images = [a.apply(v) for a in actions for v in comp]
     sols, _ = solve_many(RationalMatrix.from_columns(b_basis + comp), images)
     if None in sols:
         raise AssertionError("action does not preserve the cocycles")
@@ -278,17 +253,10 @@ def invariant_cohomology_ranks(algebra: NilpotentLieAlgebra, hols,
     # route one: restrict the differential to invariant forms
     inv_bases = [fixed_space([a[k] for a in actions], sizes[k])
                  for k in range(n + 1)]
-    restricted = [_restrict(cx.columns[k], sizes[k + 1], inv_bases[k],
-                            inv_bases[k + 1], "differential")
+    restricted = [_restrict(cx.diff[k], inv_bases[k], inv_bases[k + 1])
                   for k in range(n)]
-    route_one = []
-    for k in range(n + 1):
-        b = len(inv_bases[k])
-        if k < n and restricted[k] is not None:
-            b -= rank(restricted[k])
-        if k > 0 and restricted[k - 1] is not None:
-            b -= rank(restricted[k - 1])
-        route_one.append(b)
+    route_one = _betti([len(basis) for basis in inv_bases],
+                       [0 if r is None else rank(r) for r in restricted])
 
     # route two: fixed part of the full cohomology
     route_two = []
@@ -296,13 +264,13 @@ def invariant_cohomology_ranks(algebra: NilpotentLieAlgebra, hols,
         d_k = cx.diff[k] if k < n else RationalMatrix.zero(1, sizes[k])  # d_n = 0
         z_basis = kernel(d_k)
         b_basis = rref_basis(zip(*cx.diff[k - 1].data)) if k > 0 else []
-        route_two.append(_quotient_fixed_dim(
-            [_sparse_columns(a[k]) for a in actions], sizes[k], z_basis, b_basis))
+        route_two.append(_quotient_fixed_dim([a[k] for a in actions], z_basis,
+                                             b_basis))
 
-    if tuple(route_one) != tuple(route_two):
+    if route_one != tuple(route_two):
         raise AssertionError(
-            f"invariant cohomology routes disagree: {route_one} vs {route_two}")
-    return tuple(route_one)
+            f"invariant cohomology routes disagree: {list(route_one)} vs {route_two}")
+    return route_one
 
 
 def euler_characteristic(ranks) -> int:

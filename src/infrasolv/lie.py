@@ -24,23 +24,30 @@ from .linalg import (RationalMatrix, _frac, complement, intersect_kernels,
 from .polynomial import MPoly
 
 
+def _nilpotent_series(nil, coefficient, start, what):
+    """start + sum over k >= 1 of coefficient(k) * nil^k, a finite sum.
+
+    Raises ValueError(what) when nil^n, n = nil.rows, is not zero, so the
+    series is its own nilpotence check."""
+    acc, power, k = start, nil, 1
+    while not power.is_zero():
+        if k == nil.rows:
+            raise ValueError(what)
+        acc = acc + power.scale(coefficient(k))
+        power = power * nil
+        k += 1
+    return acc
+
+
 def unip_log(g: RationalMatrix) -> RationalMatrix:
     """Logarithm of a unipotent matrix: finite Mercator series in (g - I).
 
     Raises when (g - I)^n, n = g.rows, is not zero, so the series is the
     unipotence check."""
     n = g.rows
-    nil = g - RationalMatrix.identity(n)
-    acc = RationalMatrix.zero(n, n)
-    power = nil
-    k = 1
-    while not power.is_zero():
-        if k == n:
-            raise ValueError("matrix is not unipotent")
-        acc = acc + power.scale(Fraction((-1) ** (k + 1), k))
-        power = power * nil
-        k += 1
-    return acc
+    return _nilpotent_series(g - RationalMatrix.identity(n),
+                             lambda k: Fraction((-1) ** (k + 1), k),
+                             RationalMatrix.zero(n, n), "matrix is not unipotent")
 
 
 def nilp_exp(x: RationalMatrix) -> RationalMatrix:
@@ -50,19 +57,8 @@ def nilp_exp(x: RationalMatrix) -> RationalMatrix:
     nilpotence check."""
     if not x.is_square():
         raise ValueError("exponential needs a square matrix")
-    n = x.rows
-    acc = RationalMatrix.identity(n)
-    power = x
-    fact = 1
-    k = 1
-    while not power.is_zero():
-        if k == n:
-            raise ValueError("matrix is not nilpotent")
-        fact *= k
-        acc = acc + power.scale(Fraction(1, fact))
-        power = power * x
-        k += 1
-    return acc
+    return _nilpotent_series(x, lambda k: Fraction(1, factorial(k)),
+                             RationalMatrix.identity(x.rows), "matrix is not nilpotent")
 
 
 def bracket(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
@@ -394,8 +390,8 @@ def center(algebra: NilpotentLieAlgebra):
     """RREF basis of the center: joint kernel of all ad(e_i)."""
     if algebra.dim == 0:
         return []
-    ads = [algebra.ad_matrix(algebra.basis_vector(i)) for i in range(algebra.dim)]
-    return rref_basis(intersect_kernels(ads))
+    return intersect_kernels(algebra.ad_matrix(algebra.basis_vector(i))
+                             for i in range(algebra.dim))
 
 
 def bracket_closure(vectors, bracket_of):

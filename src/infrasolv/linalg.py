@@ -11,10 +11,13 @@ else derives from it:
 - `det` is the sign times its last pivot; `rank` and `complement` read its
   pivot columns;
 - `_rref` adds the reduction back to the pivots, with fractions only at
-  output; `kernel`, `solve`, `solve_many`, `rref_basis`, `fixed_space` and
-  `inverse` (one reduction of [M | I]) read it, and so does
-  `actions.fixed_point_solve`, which reduces each layer as [M | I].
-  `actions` memoizes holonomy inverses, so no holonomy is reduced twice.
+  output; `kernel`, `solve`, `solve_many`, `rref_basis` and `inverse` (one
+  reduction of [M | I]) read it, and so does `actions.fixed_point_solve`,
+  which reduces each layer as [M | I]. `actions` memoizes holonomy
+  inverses, so no holonomy is reduced twice.
+There is one joint-kernel routine, `intersect_kernels`: the kernel of the
+stacked matrices, as a canonical (RREF) basis. `fixed_space` is it applied
+to the m - I, `lie.center` to the ad(e_i), and `actions.torus_rank` to both.
 """
 
 from __future__ import annotations
@@ -55,13 +58,13 @@ class RationalMatrix:
         self._fill(data)
 
     @classmethod
-    def _trusted(cls, rows):
-        """A matrix of rows of Fractions, as the arithmetic builds them; no checks."""
-        return object.__new__(cls)._fill(tuple(map(tuple, rows)))
+    def _trusted(cls, rows, sparse=None):
+        """A matrix of rows of Fractions and its sparse row view, if known; no checks."""
+        return object.__new__(cls)._fill(tuple(map(tuple, rows)), sparse)
 
-    def _fill(self, data):
+    def _fill(self, data, sparse=None):
         for name, value in (("data", data), ("rows", len(data)), ("cols", len(data[0])),
-                            ("_hash", None), ("_sparse", None)):
+                            ("_hash", None), ("_sparse", sparse)):
             object.__setattr__(self, name, value)
         return self
 
@@ -86,6 +89,18 @@ class RationalMatrix:
     def zero(rows: int, cols: int) -> "RationalMatrix":
         z = Fraction(0)
         return RationalMatrix([[z] * cols for _ in range(rows)])
+
+    @staticmethod
+    def from_sparse_columns(columns, nrows) -> "RationalMatrix":
+        """Matrix of columns given as {row: nonzero Fraction} dicts; its sparse
+        row view is read off them, not found by a scan of the zeros."""
+        data = [[_ZERO] * len(columns) for _ in range(nrows)]
+        sparse = [[] for _ in range(nrows)]
+        for c, col in enumerate(columns):
+            for r, x in col.items():
+                data[r][c] = x
+                sparse[r].append((c, int(x) if x in (1, -1) else x))
+        return RationalMatrix._trusted(data, tuple(map(tuple, sparse)))
 
     @staticmethod
     def from_columns(columns) -> "RationalMatrix":
@@ -411,33 +426,26 @@ def complement(sub, whole):
 
 
 def intersect_kernels(mats):
-    """Basis of the joint right null space of several matrices."""
+    """Canonical (RREF) basis of the joint right null space of several
+    matrices: the one routine that stacks matrices for a joint kernel."""
     mats = list(mats)
     if not mats:
         raise ValueError("need at least one matrix")
-    stacked = [list(row) for m in mats for row in m.data]
-    return kernel(RationalMatrix(stacked))
+    # zero rows constrain nothing; an all-zero stack keeps one for the width
+    rows = [row for m in mats for row in m.data if any(row)] or [mats[0].data[0]]
+    return rref_basis(kernel(RationalMatrix(rows)))
 
 
 def fixed_space(mats, dim):
-    """Canonical (RREF) basis of the joint fixed space of square matrices on Q^dim.
-
-    This is the joint kernel of the m - I; with no matrix, or only the
-    identity, it is the whole space.
-    """
-    if dim == 0:
-        return []
-    rows = []
-    for m in mats:
-        for i, row in enumerate(m.data):
-            row = list(row)
-            row[i] -= 1
-            if any(row):
-                rows.append(row)
-    if not rows:
-        return [tuple(Fraction(int(i == j)) for j in range(dim))
-                for i in range(dim)]
-    return rref_basis(kernel(RationalMatrix(rows)))
+    """Canonical (RREF) basis of the joint fixed space of square matrices on
+    Q^dim: `intersect_kernels` of the m - I, the whole space with no matrix."""
+    mats = list(mats)
+    if not mats:
+        return [tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)]
+    # m - I without Fraction arithmetic off the diagonal
+    return intersect_kernels(
+        RationalMatrix._trusted([row[:i] + (row[i] - 1,) + row[i + 1:]
+                                 for i, row in enumerate(m.data)]) for m in mats)
 
 
 class Poly:

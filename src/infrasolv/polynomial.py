@@ -45,16 +45,16 @@ class MPoly:
 
     @staticmethod
     def constant(nvars: int, c) -> "MPoly":
-        return MPoly(nvars, {(0,) * nvars: _frac(c)})
+        return MPoly._trusted(nvars, {(0,) * nvars: _frac(c)})
 
     @staticmethod
     def zero(nvars: int) -> "MPoly":
-        return MPoly(nvars, {})
+        return MPoly._trusted(nvars, {})
 
     @staticmethod
     def variable(nvars: int, i: int) -> "MPoly":
         exps = tuple(int(j == i) for j in range(nvars))
-        return MPoly(nvars, {exps: Fraction(1)})
+        return MPoly._trusted(nvars, {exps: Fraction(1)})
 
     def is_zero(self) -> bool:
         return not self.terms

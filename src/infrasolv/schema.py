@@ -87,10 +87,10 @@ def matrix(obj, path) -> RationalMatrix:
         if len(row) != width:
             raise SchemaError(f"{path}[{i}]", "ragged rows")
         rows.append(_row(row, f"{path}[{i}]"))
-    try:
-        return RationalMatrix(rows)
-    except ValueError as exc:
-        raise SchemaError(path, str(exc)) from None
+    if not width:
+        raise SchemaError(path, "ragged or empty rows")
+    # every entry is a Fraction already, and the shape is checked
+    return RationalMatrix._trusted(rows)
 
 
 def _matrix_list(obj, path):

@@ -2,6 +2,7 @@ import json
 import random
 import time
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,9 +19,10 @@ from infrasolv.cli import main
 from infrasolv.hull import SplitHullData, hol_from_ambient
 from infrasolv.lie import (NilpotentLieAlgebra, UnipotentGroupData,
                            _linear_polys, lie_closure, nilp_exp, unip_log)
-from infrasolv.linalg import RationalMatrix, solve
+from infrasolv.linalg import RationalMatrix, kernel, rref_basis, solve
 from infrasolv.polynomial import MPoly, PolynomialMap
 from infrasolv.schema import load_bundle
+from test_linalg import seeded_holonomy_lists
 
 
 def _elem(i, j, n):
@@ -772,3 +774,38 @@ def test_torus_rank_oracles():
                                            nilp_exp(_elem(1, 2, 3))),
                                dim_ambient=3))
     assert torus_rank(_z2_data(), torus_hull) == 2
+
+
+def _oracle_torus_rank(alg, hols):
+    """`torus_rank` as it was before it made one joint kernel: the center
+    from the stacked ad(e_i), then the kernel of the stacked A C - C."""
+    if not alg.dim:
+        return 0
+    ads = [alg.ad_matrix(alg.basis_vector(i)) for i in range(alg.dim)]
+    cent = rref_basis(kernel(RationalMatrix([r for m in ads for r in m.data])))
+    if not cent:
+        return 0
+    if not hols:
+        return len(cent)
+    cmat = RationalMatrix.from_columns(cent)
+    return len(kernel(RationalMatrix([r for a in hols for r in (a * cmat - cmat).data])))
+
+
+@pytest.mark.parametrize("name", bundles.builtin_names())
+def test_torus_rank_matches_the_stacked_kernel_oracle_on_builtins(name):
+    bundle = bundles.load_bundle_bytes(bundles.bundle_bytes(name))
+    assert torus_rank(bundle.gamma, bundle.hull) == \
+        _oracle_torus_rank(bundle.hull.algebra, bundle.hull.hol_matrices)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_torus_rank_matches_the_stacked_kernel_oracle_on_seeded_inputs(seed):
+    rng = random.Random(seed)
+    upper4 = lie_closure(UnipotentGroupData(
+        generators=tuple(nilp_exp(_elem(i, i + 1, 4)) for i in range(3)), dim_ambient=4))
+    for alg in (NilpotentLieAlgebra(1, {}), abelian2(), heisenberg(), upper4):
+        for hols in seeded_holonomy_lists(rng, alg.dim):
+            hull = SimpleNamespace(algebra=alg, hol_matrices=tuple(hols))
+            assert torus_rank(SimpleNamespace(algebra=alg), hull) == \
+                _oracle_torus_rank(alg, hols), (alg.dim, hols)
+

@@ -74,6 +74,15 @@ def test_schema_ragged_matrix(good):
     _expect_error(bad, "hull.lie_algebra.ambient[0]")
 
 
+def test_schema_zero_width_matrix_is_ragged_or_empty(good, tmp_path, capsys):
+    good["hull"]["lie_algebra"]["ambient"][0] = [[]]
+    p = tmp_path / "b.json"
+    p.write_text(json.dumps(good))
+    assert main(["validate", str(p)]) == 2
+    assert capsys.readouterr().err == \
+        "invalid bundle: $.hull.lie_algebra.ambient[0]: ragged or empty rows\n"
+
+
 def test_schema_bad_fraction_string(good):
     bad = copy.deepcopy(good)
     bad["gamma"]["generators"][0]["translation_matrix"][0][1] = "1/2/3"

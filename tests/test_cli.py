@@ -80,7 +80,8 @@ def test_jordan_singular(tmp_path, capsys):
 @pytest.mark.parametrize("text, path", [
     ("5", "$"), ("[1, 2]", "$"), ("[[1.5]]", "$[0][0]"), ("[[null]]", "$[0][0]"),
     ('{"a": 1}', "$"), ('[["1/0"]]', "$[0][0]"), ("[[1, 2], [3]]", "$[1]"),
-    ("[[true, false], [false, true]]", "$[0][0]"), ('[["1", false]]', "$[0][1]")])
+    ("[[true, false], [false, true]]", "$[0][0]"), ('[["1", false]]', "$[0][1]"),
+    ("[[]]", "$")])
 def test_jordan_rejects_malformed_matrix_files(text, path, tmp_path, capsys):
     p = tmp_path / "m.json"
     p.write_text(text)

@@ -53,6 +53,17 @@ def test_log_rejects_non_unipotent():
         nilp_exp(M([[1, 0], [0, 1]]))
 
 
+def test_series_are_exact_and_name_what_fails():
+    assert nilp_exp(M([[0, 1, 0], [0, 0, 1], [0, 0, 0]])) == \
+        M([[1, 1, "1/2"], [0, 1, 1], [0, 0, 1]])
+    with pytest.raises(ValueError, match="^matrix is not unipotent$"):
+        unip_log(M([[1, 1], [1, 1]]))
+    with pytest.raises(ValueError, match="^matrix is not nilpotent$"):
+        nilp_exp(M([[1, 0], [0, 1]]))
+    with pytest.raises(ValueError, match="^exponential needs a square matrix$"):
+        nilp_exp(M([[0, 1]]))
+
+
 def test_log_of_commuting_product_adds():
     g = M([[1, 3], [0, 1]])
     h = M([[1, "1/2"], [0, 1]])

@@ -286,6 +286,48 @@ def test_complement_and_rank_are_one_forward_pass(monkeypatch):
     assert calls == [3, 3, 2]
 
 
+def _oracle_fixed_space(mats, dim):
+    """`fixed_space` as it was before it called `intersect_kernels`: the
+    nonzero rows of the m - I stacked by hand, one kernel, its RREF basis."""
+    if dim == 0:
+        return []
+    rows = []
+    for m in mats:
+        for i, row in enumerate(m.data):
+            row = list(row)
+            row[i] -= 1
+            if any(row):
+                rows.append(row)
+    if not rows:
+        return [tuple(F(int(i == j)) for j in range(dim)) for i in range(dim)]
+    return rref_basis(kernel(RationalMatrix(rows)))
+
+
+def seeded_holonomy_lists(rng, n):
+    """Lists of n x n rational matrices: none, the identity alone, a dense
+    matrix, I plus a rank-one matrix (m - I is rank-deficient and fixes a
+    hyperplane), and mixtures of these."""
+    def entry():
+        return F(rng.randint(-3, 3), rng.randint(1, 3))
+
+    ident = RationalMatrix.identity(n)
+    dense = M([[entry() for _ in range(n)] for _ in range(n)])
+    u, v = [entry() for _ in range(n)], [entry() for _ in range(n)]
+    rank_one = ident + M([[a * b for b in v] for a in u])
+    return [[], [ident], [dense], [rank_one], [rank_one, ident],
+            [rank_one, rank_one.transpose()], [ident, dense, rank_one]]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_fixed_space_matches_the_stacked_kernel_oracle(seed):
+    rng = random.Random(seed)
+    for n in (1, 2, 3, 4):
+        for mats in seeded_holonomy_lists(rng, n):
+            got = fixed_space(mats, n)
+            assert got == _oracle_fixed_space(mats, n), (n, mats)
+            assert all(m.apply(v) == v for m in mats for v in got)
+
+
 def test_fixed_space_is_the_canonical_joint_kernel():
     swap = M([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     flip = M([[1, 0, 0], [0, 1, 0], [0, 0, -1]])
