@@ -1,7 +1,7 @@
 """Exact rational computation with polycyclic group actions on nilpotent Lie groups."""
 
-from .linalg import (Poly, RationalMatrix, char_poly, kernel, min_poly, rank,
-                     solve, squarefree_part)
+from .linalg import (Poly, RationalMatrix, char_poly, kernel, rank, solve,
+                     squarefree_part)
 from .jordan import (additive_jordan, is_semisimple, is_unipotent,
                      multiplicative_jordan)
 from .lie import (NilpotentLieAlgebra, UnipotentGroupData, center, lie_closure,
@@ -22,8 +22,8 @@ from .schema import Bundle, SchemaError, load_bundle
 from . import bundles
 
 __all__ = [
-    "Poly", "RationalMatrix", "char_poly", "kernel", "min_poly", "rank",
-    "solve", "squarefree_part",
+    "Poly", "RationalMatrix", "char_poly", "kernel", "rank", "solve",
+    "squarefree_part",
     "additive_jordan", "is_semisimple", "is_unipotent", "multiplicative_jordan",
     "NilpotentLieAlgebra", "UnipotentGroupData", "center", "lie_closure",
     "lower_central_series", "nilp_exp", "unip_log",

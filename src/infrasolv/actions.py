@@ -254,9 +254,6 @@ class GammaActionData:
         self.validate()
 
     def validate(self):
-        for name in self.fitting_labels:
-            if name not in self.generators:
-                raise ValueError(f"fitting label {name!r} is not a generator name")
         for name, g in self.generators.items():
             if not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", name):
                 raise ValueError(f"bad generator name {name!r}")
@@ -426,8 +423,8 @@ def fixed_point_solve(a: AffineElement):
             constraints.append(resid.linear_decomposition())
 
         if constraints:
-            sol, ker = solve(RationalMatrix([lin for _, lin, _ in constraints]),
-                             [-const for const, _, _ in constraints])
+            (sol,), ker = solve(RationalMatrix([lin for _, lin, _ in constraints]),
+                                [[-const for const, _, _ in constraints]])
             if sol is None:
                 return None
             # each kernel vector is 1 at its free column, the last one it touches

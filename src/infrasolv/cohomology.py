@@ -24,7 +24,7 @@ product:
   and each route checks that the maps it restricts preserve the subspaces
   (AssertionError). Each route maps vectors by `RationalMatrix.apply`,
   which runs over the sparse row view of d or of the action, and solves for
-  all of a degree's images in one elimination (`linalg.solve_many`).
+  all of a degree's images in one elimination (`linalg.solve`).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from itertools import combinations
 
 from .lie import NilpotentLieAlgebra
 from .linalg import (RationalMatrix, complement, fixed_space, kernel, rank,
-                     rref_basis, solve_many)
+                     rref_basis, solve)
 
 # Largest algebra dimension whose full and invariant Betti numbers finish in
 # under 60 s, and the slowest case measured there (README, "Complex size").
@@ -208,7 +208,7 @@ def _restrict(mat, dom_basis, cod_basis):
         if any(any(img) for img in images):
             raise AssertionError("differential does not preserve the subspace")
         return None
-    sols, _ = solve_many(RationalMatrix.from_columns(cod_basis), images)
+    sols, _ = solve(RationalMatrix.from_columns(cod_basis), images)
     if None in sols:
         raise AssertionError("differential does not preserve the subspace")
     return RationalMatrix.from_columns(sols)
@@ -223,7 +223,7 @@ def _quotient_fixed_dim(actions, z_basis, b_basis):
     if not comp:
         return 0
     images = [a.apply(v) for a in actions for v in comp]
-    sols, _ = solve_many(RationalMatrix.from_columns(b_basis + comp), images)
+    sols, _ = solve(RationalMatrix.from_columns(b_basis + comp), images)
     if None in sols:
         raise AssertionError("action does not preserve the cocycles")
     nb, nc = len(b_basis), len(comp)

@@ -10,10 +10,9 @@ steps always suffice; we stop as soon as q(x) = 0 exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .linalg import (Poly, RationalMatrix, char_poly, min_poly, poly_ext_gcd,
-                     poly_gcd, rank, squarefree_part)
+from .linalg import (RationalMatrix, char_poly, poly_ext_gcd, rank,
+                     squarefree_part)
 
 
 @dataclass(frozen=True)
@@ -67,9 +66,13 @@ def multiplicative_jordan(g: RationalMatrix) -> MultiplicativeJordan:
 
 
 def is_semisimple(m: RationalMatrix) -> bool:
-    """True iff the minimal polynomial is squarefree."""
-    p = min_poly(m)
-    return poly_gcd(p, p.derivative()).degree() == 0
+    """True iff the squarefree part of the characteristic polynomial kills m.
+
+    The minimal polynomial has the same roots as the characteristic one, so
+    it is squarefree exactly when it divides that squarefree part: the
+    step-0 exit of `additive_jordan`'s Newton loop, with no solve.
+    """
+    return squarefree_part(char_poly(m)).eval_matrix(m).is_zero()
 
 
 def is_unipotent(m: RationalMatrix) -> bool:

@@ -20,7 +20,7 @@ from math import comb, factorial
 
 from .jordan import is_unipotent
 from .linalg import (RationalMatrix, _frac, complement, intersect_kernels,
-                     rref_basis, solve_many, sparse_sum)
+                     rref_basis, solve, sparse_sum)
 from .polynomial import MPoly
 
 
@@ -192,10 +192,8 @@ class NilpotentLieAlgebra:
         series = lower_central_series(self)
         if series[-1]:
             raise ValueError("algebra is not nilpotent (lower central series stabilizes nonzero)")
-        if self.ambient is not None:
-            flat = [m.flatten() for m in self.ambient]
-            if len(rref_basis(flat)) != self.dim:
-                raise ValueError("ambient basis matrices are linearly dependent")
+        if self.ambient:
+            self.coord_functional()  # raises when the ambient basis is dependent
             for i in range(self.dim):
                 for j in range(i + 1, self.dim):
                     got = bracket(self.ambient[i], self.ambient[j])
@@ -221,9 +219,9 @@ class NilpotentLieAlgebra:
         if self._coord_functional is None:
             # solve stack^T y = e_i for every i at once; rows of L are the y's
             st = RationalMatrix.from_columns([m.flatten() for m in self.ambient]).transpose()
-            rows, _ = solve_many(st, [self.basis_vector(i) for i in range(self.dim)])
+            rows, _ = solve(st, [self.basis_vector(i) for i in range(self.dim)])
             if None in rows:
-                raise ValueError("ambient basis is degenerate")
+                raise ValueError("ambient basis matrices are linearly dependent")
             self._coord_functional = RationalMatrix(rows)
         return self._coord_functional
 
@@ -444,8 +442,8 @@ def _structure_algebra(basis_mats) -> NilpotentLieAlgebra:
     n = len(basis_mats)
     stack = RationalMatrix.from_columns([m.flatten() for m in basis_mats])
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    sols, _ = solve_many(stack, [bracket(basis_mats[i], basis_mats[j]).flatten()
-                                 for i, j in pairs])
+    sols, _ = solve(stack, [bracket(basis_mats[i], basis_mats[j]).flatten()
+                            for i, j in pairs])
     if None in sols:
         raise ValueError("basis is not closed under brackets")
     table = {pair: coords for pair, coords in zip(pairs, sols) if any(coords)}

@@ -11,13 +11,16 @@ else derives from it:
 - `det` is the sign times its last pivot; `rank` and `complement` read its
   pivot columns;
 - `_rref` adds the reduction back to the pivots, with fractions only at
-  output; `kernel`, `solve`, `solve_many`, `rref_basis` and `inverse` (one
-  reduction of [M | I]) read it, and so does `actions.fixed_point_solve`,
-  which reduces each layer as [M | I]. `actions` memoizes holonomy
-  inverses, so no holonomy is reduced twice.
+  output; `kernel`, `rref_basis` and `inverse` (one reduction of [M | I])
+  read it, and so does `actions.fixed_point_solve`, which reduces each
+  layer as [M | I]. `actions` memoizes holonomy inverses, so no holonomy is
+  reduced twice.
+- `solve` is the one solver: every right-hand side and the kernel from one
+  reduction of [a | rhs].
 There is one joint-kernel routine, `intersect_kernels`: the kernel of the
-stacked matrices, as a canonical (RREF) basis. `fixed_space` is it applied
-to the m - I, `lie.center` to the ad(e_i), and `actions.torus_rank` to both.
+stacked matrices, as a canonical (RREF) basis read off one reduction of the
+stack with its columns reversed. `fixed_space` is it applied to the m - I,
+`lie.center` to the ad(e_i), and `actions.torus_rank` to both.
 """
 
 from __future__ import annotations
@@ -114,9 +117,6 @@ class RationalMatrix:
 
     def row(self, i):
         return self.data[i]
-
-    def column(self, j):
-        return tuple(r[j] for r in self.data)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -369,30 +369,14 @@ def _null_vectors(ech, pivots, n):
     return basis
 
 
-def solve(a: RationalMatrix, b):
-    """Solve a x = b exactly, by one elimination of [a | b].
-
-    Returns (particular solution or None, kernel basis of a). The kernel is
-    reported even when the system is inconsistent.
-    """
-    sols, pivots, ech = _solve(a, [b])
-    return sols[0], _null_vectors(ech, pivots, a.cols)
-
-
-def solve_many(a: RationalMatrix, rhs):
+def solve(a: RationalMatrix, rhs):
     """Solve a x = b for every b in rhs by one elimination of [a | rhs].
 
-    Returns (solutions, pivots). solutions holds one entry per b: the
-    solution whose free variables are zero, or None where a x = b is
-    inconsistent. pivots are the pivot columns of a, the columns that are
-    not in the span of the columns before them.
+    Returns (solutions, kernel basis of a). solutions holds one entry per b:
+    the solution whose free variables are zero, or None where a x = b is
+    inconsistent. The kernel, one vector per free column of a, is reported
+    even when some system is inconsistent.
     """
-    sols, pivots, _ = _solve(a, rhs)
-    return sols, pivots
-
-
-def _solve(a, rhs):
-    """(solutions, pivot columns of a, RREF of [a | rhs])."""
     rhs = list(rhs)
     if any(len(b) != a.rows for b in rhs):
         raise ValueError("right-hand side length mismatch")
@@ -411,7 +395,7 @@ def _solve(a, rhs):
         for k, c in enumerate(a_pivots):
             x[c] = ech[k][j]
         sols.append(tuple(x))
-    return sols, a_pivots, ech
+    return sols, _null_vectors(ech, a_pivots, n)
 
 
 def complement(sub, whole):
@@ -425,15 +409,28 @@ def complement(sub, whole):
     return [whole[c - ns] for c in _pivots(list(zip(*(sub + whole)))) if c >= ns]
 
 
+def _unit_vectors(n):
+    return [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+
+
 def intersect_kernels(mats):
     """Canonical (RREF) basis of the joint right null space of several
-    matrices: the one routine that stacks matrices for a joint kernel."""
+    matrices: the one routine that stacks matrices for a joint kernel.
+
+    One elimination of the stacked nonzero rows with their columns reversed.
+    Reversed back, each null vector read off it is 1 at its free column, 0
+    at the other free columns and nonzero only to their right: together they
+    are the kernel's RREF basis. An all-zero stack needs no elimination.
+    """
     mats = list(mats)
     if not mats:
         raise ValueError("need at least one matrix")
-    # zero rows constrain nothing; an all-zero stack keeps one for the width
-    rows = [row for m in mats for row in m.data if any(row)] or [mats[0].data[0]]
-    return rref_basis(kernel(RationalMatrix(rows)))
+    n = mats[0].cols
+    rows = [row[::-1] for m in mats for row in m.data if any(row)]
+    if not rows:
+        return _unit_vectors(n)
+    ech, pivots = _rref(rows)
+    return [v[::-1] for v in reversed(_null_vectors(ech, pivots, n))]
 
 
 def fixed_space(mats, dim):
@@ -441,7 +438,7 @@ def fixed_space(mats, dim):
     Q^dim: `intersect_kernels` of the m - I, the whole space with no matrix."""
     mats = list(mats)
     if not mats:
-        return [tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)]
+        return _unit_vectors(dim)
     # m - I without Fraction arithmetic off the diagonal
     return intersect_kernels(
         RationalMatrix._trusted([row[:i] + (row[i] - 1,) + row[i + 1:]
@@ -540,13 +537,6 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def eval_scalar(self, x) -> Fraction:
-        x = _frac(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def eval_matrix(self, m: RationalMatrix) -> RationalMatrix:
         if not m.is_square():
             raise ValueError("polynomial evaluation needs a square matrix")
@@ -595,13 +585,6 @@ def poly_ext_gcd(a: Poly, b: Poly):
     return r0.monic(), s0 * inv, t0 * inv
 
 
-def poly_lcm(a: Poly, b: Poly) -> Poly:
-    if a.is_zero() or b.is_zero():
-        return Poly.zero()
-    g = poly_gcd(a, b)
-    return ((a * b) // g).monic()
-
-
 def squarefree_part(p: Poly) -> Poly:
     """p / gcd(p, p'), monic: same roots, multiplicity one (char 0)."""
     if p.is_zero():
@@ -627,27 +610,3 @@ def char_poly(m: RationalMatrix) -> Poly:
         if k < n:
             b = m * (b + ident.scale(c))
     return Poly(coeffs)
-
-
-def min_poly(m: RationalMatrix) -> Poly:
-    """Minimal polynomial: lcm over basis vectors of local Krylov annihilators."""
-    if not m.is_square():
-        raise ValueError("minimal polynomial needs a square matrix")
-    n = m.rows
-    result, at_m = Poly.one(), None  # at_m = result(m) once result != 1 and e_i remain
-    for i in range(n):
-        e = tuple(Fraction(int(j == i)) for j in range(n))
-        # skip if the running lcm already kills e_i
-        if at_m is not None and not any(at_m.column(i)):
-            continue
-        krylov, v = [e], e
-        while True:
-            v = m.apply(v)
-            coeff, _ = solve(RationalMatrix.from_columns(krylov), v)
-            if coeff is not None:
-                local = Poly(list(map(lambda c: -c, coeff)) + [1])
-                result = poly_lcm(result, local)
-                at_m = result.eval_matrix(m) if i + 1 < n else None
-                break
-            krylov.append(v)
-    return result

@@ -474,8 +474,8 @@ def _oracle_fixed_point(a):
             constraints.append(resid)
         if constraints:
             decomposed = [con.linear_decomposition() for con in constraints]
-            sol, ker = solve(RationalMatrix([lin for _, lin, _ in decomposed]),
-                             [-const for const, _, _ in decomposed])
+            (sol,), ker = solve(RationalMatrix([lin for _, lin, _ in decomposed]),
+                                [[-const for const, _, _ in decomposed]])
             if sol is None:
                 return None
             newp = len(ker)

@@ -1,4 +1,5 @@
-"""Command line behaviour: exit codes, determinism, golden reports."""
+"""Command line behaviour: exit codes, determinism, golden reports; and the
+package's exported names."""
 
 import json
 import os
@@ -9,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import infrasolv
 from infrasolv.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -239,3 +241,9 @@ def test_closed_stdout_exits_quietly():
         os.close(write_end)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+def test_every_export_resolves():
+    missing = [name for name in infrasolv.__all__ if not hasattr(infrasolv, name)]
+    assert missing == []
+    assert len(set(infrasolv.__all__)) == len(infrasolv.__all__)

@@ -6,10 +6,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_linalg import krylov_min_poly
 
+from infrasolv import bundles, linalg
 from infrasolv.jordan import (additive_jordan, is_semisimple, is_unipotent,
                               multiplicative_jordan)
-from infrasolv.linalg import RationalMatrix, min_poly, poly_gcd, rank
+from infrasolv.linalg import RationalMatrix, poly_gcd, rank
 
 F = Fraction
 
@@ -57,7 +59,7 @@ def _check_additive(m):
     assert d.semisimple + d.nilpotent == m
     assert d.semisimple * d.nilpotent == d.nilpotent * d.semisimple
     assert (d.nilpotent ** n).is_zero()
-    p = min_poly(d.semisimple)
+    p = krylov_min_poly(d.semisimple)
     assert poly_gcd(p, p.derivative()).degree() == 0
     return d
 
@@ -122,3 +124,61 @@ def test_semisimple_iff_trivial_unipotent_part():
     d = multiplicative_jordan(m)
     assert d.unipotent == RationalMatrix.identity(2)
     assert d.semisimple == m
+
+
+def _krylov_semisimple(m):
+    """Semisimple iff the minimal polynomial, from Krylov solves, is squarefree."""
+    p = krylov_min_poly(m)
+    return poly_gcd(p, p.derivative()).degree() == 0
+
+
+def _block(a, b, c):
+    """The block matrix [[a, b], [0, c]]."""
+    zero = [F(0)] * a.cols
+    return M([list(ra) + list(rb) for ra, rb in zip(a.data, b.data)]
+             + [zero + list(rc) for rc in c.data])
+
+
+def _semisimple_cases():
+    rng = random.Random(20261019)
+    for name in bundles.builtin_names():
+        yield from bundles.load(name).hull.t_generators
+    for n in range(1, 6):
+        for _ in range(6):
+            yield _random_matrix(rng, n)
+    # Jordan blocks of sizes 1-3 on repeated eigenvalues, conjugated
+    for _ in range(10):
+        n = rng.randint(2, 5)
+        eig = [rng.choice((1, 2, F(-1, 2))) for _ in range(n)]
+        couple = [rng.choice((0, 1)) and eig[i] == eig[i + 1] for i in range(n - 1)]
+        j = M([[eig[i] if i == k else int(k == i + 1 and couple[i]) for k in range(n)]
+               for i in range(n)])
+        h = _random_unimodular(rng, n)
+        yield h * j * h.inverse()
+    rot = M([[0, -1], [1, 0]])
+    yield rot
+    yield _block(rot, RationalMatrix.zero(2, 2), rot)
+    yield _block(rot, RationalMatrix.identity(2), rot)
+
+
+def test_is_semisimple_matches_the_krylov_oracle():
+    cases = list(_semisimple_cases())
+    assert len(cases) == 8 + 30 + 10 + 3
+    verdicts = [is_semisimple(m) for m in cases]
+    assert verdicts == [_krylov_semisimple(m) for m in cases]
+    assert all(verdicts[:8]) and True in verdicts[8:] and False in verdicts[8:]
+    # the rotation is irreducible over Q, so not diagonalizable there, but
+    # semisimple; the nilpotent coupling of two copies is not
+    assert verdicts[-3:] == [True, True, False]
+
+
+def test_is_semisimple_makes_no_solve(monkeypatch):
+    cases = list(_semisimple_cases())
+    calls = []
+    for name in ("solve", "_bareiss"):
+        original = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name,
+                            lambda *a, f=original: calls.append(1) or f(*a))
+    for m in cases:
+        is_semisimple(m)
+    assert calls == []

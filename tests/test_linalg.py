@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from infrasolv import linalg
 from infrasolv.linalg import (Poly, RationalMatrix, char_poly, complement,
-                              fixed_space, intersect_kernels, kernel, min_poly,
-                              poly_ext_gcd, poly_gcd, poly_lcm, rank,
-                              rref_basis, solve, solve_many, squarefree_part)
+                              fixed_space, intersect_kernels, kernel,
+                              poly_ext_gcd, poly_gcd, rank, rref_basis, solve,
+                              squarefree_part)
 
 F = Fraction
 
@@ -29,8 +29,38 @@ def in_span(vectors, v) -> bool:
     vecs = list(vectors)
     if not vecs:
         return all(x == 0 for x in v)
-    sol, _ = solve(RationalMatrix.from_columns(vecs), v)
+    (sol,), _ = solve(RationalMatrix.from_columns(vecs), [v])
     return sol is not None
+
+
+def poly_lcm(a, b):
+    """Monic lcm, for the Krylov oracle below."""
+    if a.is_zero() or b.is_zero():
+        return Poly.zero()
+    return ((a * b) // poly_gcd(a, b)).monic()
+
+
+def krylov_min_poly(m):
+    """The minimal polynomial as the package computed it before semisimplicity
+    came from the characteristic polynomial: the lcm over basis vectors of
+    their Krylov annihilators, one solve per Krylov step, skipping the
+    vectors the running lcm already kills. The oracle for `is_semisimple`."""
+    n = m.rows
+    result, at_m = Poly.one(), None  # at_m = result(m) once result != 1
+    for i in range(n):
+        e = tuple(Fraction(int(j == i)) for j in range(n))
+        if at_m is not None and not any(at_m.apply(e)):
+            continue
+        krylov, v = [e], e
+        while True:
+            v = m.apply(v)
+            (coeff,), _ = solve(RationalMatrix.from_columns(krylov), [v])
+            if coeff is not None:
+                result = poly_lcm(result, Poly([-c for c in coeff] + [1]))
+                at_m = result.eval_matrix(m)
+                break
+            krylov.append(v)
+    return result
 
 
 def leibniz_det(m):
@@ -69,7 +99,7 @@ def test_rank_frozen_examples():
 
 
 def test_solve_underdetermined_frozen():
-    sol, ker = solve(M([[1, 1]]), [2])
+    (sol,), ker = solve(M([[1, 1]]), [[2]])
     assert sol == (F(2), F(0))
     assert ker == [(F(-1), F(1))] or ker == [(F(1), F(-1))]
     # the reported kernel really is the kernel
@@ -78,7 +108,7 @@ def test_solve_underdetermined_frozen():
 
 def test_solve_inconsistent_reports_kernel():
     a = M([[1, 1], [1, 1]])
-    sol, ker = solve(a, [0, 1])
+    (sol,), ker = solve(a, [[0, 1]])
     assert sol is None
     assert len(ker) == 1
     assert a.apply(ker[0]) == (F(0), F(0))
@@ -86,7 +116,7 @@ def test_solve_inconsistent_reports_kernel():
 
 def test_solve_exact_fractions():
     a = M([["1/3", "1/7"], [0, "2/5"]])
-    sol, ker = solve(a, ["1/2", "1/10"])
+    (sol,), ker = solve(a, [["1/2", "1/10"]])
     assert ker == []
     assert a.apply(sol) == (F(1, 2), F(1, 10))
 
@@ -148,16 +178,16 @@ def test_json_round_trip():
 # ------------------------------------------------------------- polynomials
 
 def test_min_poly_frozen_examples():
-    p = min_poly(M([[2, 1], [0, 2]]))
+    p = krylov_min_poly(M([[2, 1], [0, 2]]))
     # (x-2)^2 = x^2 - 4x + 4
     assert p == Poly([4, -4, 1])
-    assert min_poly(RationalMatrix.identity(3)) == Poly([-1, 1])
-    assert min_poly(M([[1, 0], [0, 2]])) == Poly([2, -3, 1])
+    assert krylov_min_poly(RationalMatrix.identity(3)) == Poly([-1, 1])
+    assert krylov_min_poly(M([[1, 0], [0, 2]])) == Poly([2, -3, 1])
 
 
 def test_min_poly_annihilates_and_is_minimal():
     m = M([[0, -1], [1, 0]])
-    p = min_poly(m)
+    p = krylov_min_poly(m)
     assert p == Poly([1, 0, 1])  # x^2 + 1
     assert p.eval_matrix(m).is_zero()
 
@@ -200,7 +230,7 @@ def square_matrices(draw, max_dim=4):
 @settings(max_examples=60, deadline=None)
 @given(square_matrices())
 def test_property_min_poly_annihilates(m):
-    p = min_poly(m)
+    p = krylov_min_poly(m)
     assert p.eval_matrix(m).is_zero()
     assert p.coeffs[-1] == 1
     assert p.degree() <= m.rows
@@ -212,7 +242,7 @@ def test_property_char_poly_annihilates(m):
     # Cayley-Hamilton, and min_poly divides char_poly
     cp = char_poly(m)
     assert cp.eval_matrix(m).is_zero()
-    assert (cp % min_poly(m)).is_zero()
+    assert (cp % krylov_min_poly(m)).is_zero()
 
 
 @settings(max_examples=60, deadline=None)
@@ -225,7 +255,7 @@ def test_property_rank_nullity(m):
 @given(square_matrices(), st.lists(small_fracs, min_size=1, max_size=4))
 def test_property_solve_is_exact(m, b):
     b = (b * m.rows)[: m.rows]
-    sol, ker = solve(m, b)
+    (sol,), ker = solve(m, [b])
     if sol is not None:
         assert m.apply(sol) == tuple(b)
     for v in ker:
@@ -235,12 +265,11 @@ def test_property_solve_is_exact(m, b):
 @settings(max_examples=40, deadline=None)
 @given(square_matrices(), st.lists(st.lists(small_fracs, min_size=4, max_size=4),
                                    max_size=3))
-def test_property_solve_many_matches_solve(m, rhs):
+def test_property_solve_matches_one_rhs_at_a_time(m, rhs):
     rhs = [b[: m.rows] for b in rhs]
-    sols, pivots = solve_many(m, rhs)
-    assert sols == [solve(m, b)[0] for b in rhs]
-    cols = [m.column(j) for j in range(m.cols)]
-    assert pivots == [j for j in range(m.cols) if not in_span(cols[:j], cols[j])]
+    sols, ker = solve(m, rhs)
+    assert sols == [solve(m, [b])[0][0] for b in rhs]
+    assert ker == kernel(m)
 
 
 @settings(max_examples=60, deadline=None)
@@ -367,7 +396,7 @@ def _dense_product(a, b):
 
 
 def _per_vector_min_poly(m):
-    """The min_poly before: the running lcm evaluated at m for every basis vector."""
+    """The Krylov route evaluating the running lcm at m for every basis vector."""
     n = m.rows
     result = Poly.one()
     for i in range(n):
@@ -377,7 +406,7 @@ def _per_vector_min_poly(m):
         krylov, v = [e], e
         while True:
             v = m.apply(v)
-            coeff, _ = solve(RationalMatrix.from_columns(krylov), v)
+            (coeff,), _ = solve(RationalMatrix.from_columns(krylov), [v])
             if coeff is not None:
                 result = poly_lcm(result, Poly([-c for c in coeff] + [1]))
                 break
@@ -446,7 +475,7 @@ def test_min_poly_matches_the_per_vector_route():
     for _ in range(30):
         n = rng.randint(2, 6)
         m = _random(rng, n, n, rng.choice((SPARSE_ENTRIES, DENSE_ENTRIES)))
-        assert min_poly(m) == _per_vector_min_poly(m)
+        assert krylov_min_poly(m) == _per_vector_min_poly(m)
         # repeated eigenvalues: a diagonal with repeats, conjugated by a
         # unitriangular matrix
         diag = [rng.choice((1, 2, F(-1, 2))) for _ in range(n)]
@@ -454,15 +483,59 @@ def test_min_poly_matches_the_per_vector_route():
                 for j in range(n)] for i in range(n)])
         m = u * M([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]) \
             * u.inverse()
-        assert min_poly(m) == _per_vector_min_poly(m)
+        assert krylov_min_poly(m) == _per_vector_min_poly(m)
+        # the minimal and characteristic polynomials have the same roots,
+        # which `is_semisimple` relies on
+        assert squarefree_part(krylov_min_poly(m)) == squarefree_part(char_poly(m))
 
 
-def test_min_poly_evaluates_the_running_lcm_once_per_update(monkeypatch):
-    m = M([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 3]])
-    evals, updates = [], []
-    eval_matrix, lcm = Poly.eval_matrix, linalg.poly_lcm
-    monkeypatch.setattr(Poly, "eval_matrix", lambda p, x: evals.append(1) or eval_matrix(p, x))
-    monkeypatch.setattr(linalg, "poly_lcm", lambda a, b: updates.append(1) or lcm(a, b))
-    assert min_poly(m) == Poly([-1, 1]) * Poly([-2, 1]) * Poly([-3, 1])
-    assert len(updates) == 3
-    assert 0 < len(evals) <= len(updates)
+def _seeded_stacks(rng):
+    """Lists of matrices of one width: wide, tall, rank-deficient (a row
+    repeated as a combination of two others), with zero rows, all-zero."""
+    for _ in range(12):
+        n = rng.randint(1, 6)
+        entries = rng.choice((SPARSE_ENTRIES, DENSE_ENTRIES))
+        wide = _random(rng, max(1, n - 2), n, entries)
+        tall = _random(rng, n + 2, n, entries)
+        a, b = _random(rng, 1, n, entries).data[0], _random(rng, 1, n, entries).data[0]
+        deficient = M([a, b, [x - 2 * y for x, y in zip(a, b)]])
+        zeros = RationalMatrix.zero(rng.randint(1, 3), n)
+        yield [wide]
+        yield [tall]
+        yield [deficient]
+        yield [zeros, wide, zeros]
+        yield [M([a, [0] * n, b]), deficient]
+        yield [zeros]
+        yield [zeros, RationalMatrix.zero(1, n)]
+
+
+def test_intersect_kernels_and_solve_match_their_oracles():
+    rng = random.Random(f"{SEED}-joint-kernel")
+    for mats in _seeded_stacks(rng):
+        stack = M([row for m in mats for row in m.data])
+        got = intersect_kernels(mats)
+        assert got == rref_basis(kernel(stack)), mats
+        assert all(type(x) is Fraction for v in got for x in v)
+        # several right-hand sides in one pass, as one at a time
+        rhs = [stack.apply([rng.choice(DENSE_ENTRIES) for _ in range(stack.cols)]),
+               [rng.choice(SPARSE_ENTRIES) for _ in range(stack.rows)],
+               [0] * stack.rows]
+        sols, ker = solve(stack, rhs)
+        assert sols == [solve(stack, [b])[0][0] for b in rhs]
+        assert sols[0] is not None and stack.apply(sols[0]) == rhs[0]
+        assert ker == kernel(stack)
+
+
+def test_intersect_kernels_runs_one_rref(monkeypatch):
+    calls = []
+    original = linalg._rref
+    monkeypatch.setattr(linalg, "_rref", lambda rows: calls.append(1) or original(rows))
+    for n in (1, 3):
+        ident = RationalMatrix.identity(n)
+        assert fixed_space([ident, ident], n) == list(ident.data)
+        assert calls == []
+    for mats in _seeded_stacks(random.Random(f"{SEED}-rref-count")):
+        del calls[:]
+        intersect_kernels(mats)
+        assert len(calls) == (1 if any(any(m.data[i]) for m in mats
+                                       for i in range(m.rows)) else 0)
