@@ -19,7 +19,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .lie import NilpotentLieAlgebra, _linear_polys, nilp_exp, unip_log
-from .linalg import RationalMatrix, _frac, _rref, intersect_kernels, rank, solve
+from .linalg import (RationalMatrix, _dense, _frac, _rref, intersect_kernels, rank,
+                     solve)
 from .polynomial import MPoly, PolynomialMap
 
 
@@ -345,10 +346,10 @@ def _layer_reduction(block):
     alone and repeats across the elements of a word ball.
     """
     m = len(block)
-    ech, pivots = _rref([list(row) + [int(i == j) for j in range(m)]
+    pivots, ech = _rref([[(j, x) for j, x in enumerate(row) if x] + [(m + i, 1)]
                          for i, row in enumerate(block)])
-    return (tuple(tuple(row[:m]) for row in ech),
-            tuple(tuple(row[m:]) for row in ech),
+    return (tuple(tuple(_dense(row, 0, m)) for row in ech),
+            tuple(tuple(_dense(row, m, 2 * m)) for row in ech),
             tuple(c for c in pivots if c < m))
 
 
@@ -503,7 +504,6 @@ def torus_rank(gdata: GammaActionData, hull) -> int:
         raise ValueError("group and hull algebras disagree")
     if not alg.dim:
         return 0
-    ident = RationalMatrix.identity(alg.dim)
     return len(intersect_kernels(
         [alg.ad_matrix(alg.basis_vector(i)) for i in range(alg.dim)]
-        + [h - ident for h in hull.hol_matrices]))
+        + [h.shift(-1) for h in hull.hol_matrices]))

@@ -37,10 +37,10 @@ from .lie import NilpotentLieAlgebra
 from .linalg import (RationalMatrix, complement, fixed_space, kernel, rank,
                      rref_basis, solve)
 
-# Largest algebra dimension whose full and invariant Betti numbers finish in
-# under 60 s, and the slowest case measured there (README, "Complex size").
+# Default limit on the algebra dimension, and the slowest case measured at
+# it (README, "Complex size"): full and invariant Betti numbers.
 MAX_COMPLEX_DIM = 11
-LIMIT_COST = "42 s for the abelian algebra under -I"
+LIMIT_COST = "3 s for the abelian algebra under -I"
 
 
 def _sort_with_sign(idx):

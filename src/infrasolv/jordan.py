@@ -61,7 +61,7 @@ def multiplicative_jordan(g: RationalMatrix) -> MultiplicativeJordan:
         raise ValueError("multiplicative Jordan decomposition needs an invertible matrix")
     add = additive_jordan(g)
     s = add.semisimple
-    gu = RationalMatrix.identity(g.rows) + s.inverse() * add.nilpotent
+    gu = (s.inverse() * add.nilpotent).shift(1)
     return MultiplicativeJordan(semisimple=s, unipotent=gu)
 
 
@@ -79,5 +79,5 @@ def is_unipotent(m: RationalMatrix) -> bool:
     """True iff (m - I)^dim = 0."""
     if not m.is_square():
         raise ValueError("unipotence is a property of square matrices")
-    n = m - RationalMatrix.identity(m.rows)
+    n = m.shift(-1)
     return (n ** m.rows).is_zero()

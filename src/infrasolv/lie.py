@@ -45,7 +45,7 @@ def unip_log(g: RationalMatrix) -> RationalMatrix:
     Raises when (g - I)^n, n = g.rows, is not zero, so the series is the
     unipotence check."""
     n = g.rows
-    return _nilpotent_series(g - RationalMatrix.identity(n),
+    return _nilpotent_series(g.shift(-1),
                              lambda k: Fraction((-1) ** (k + 1), k),
                              RationalMatrix.zero(n, n), "matrix is not unipotent")
 

@@ -2,19 +2,24 @@
 
 Everything in this package runs on Fraction entries; no floats anywhere.
 A matrix is stored dense. Its sparse row view, built once, lists each row's
-nonzero (column, entry) pairs, an entry of +-1 as the int: `apply` and the
-row-by-row product `__mul__` (Gustavson 1978) read it, so they multiply only
-nonzero entries, and +-1 costs a copy or a negation.
-There is one elimination routine, `_bareiss`: a fraction-free forward pass
-on integer-scaled rows, which keeps intermediate entries small. Everything
-else derives from it:
-- `det` is the sign times its last pivot; `rank` and `complement` read its
-  pivot columns;
-- `_rref` adds the reduction back to the pivots, with fractions only at
-  output; `kernel`, `rref_basis` and `inverse` (one reduction of [M | I])
-  read it, and so does `actions.fixed_point_solve`, which reduces each
-  layer as [M | I]. `actions` memoizes holonomy inverses, so no holonomy is
-  reduced twice.
+nonzero (column, entry) pairs, an entry of +-1 as the int: `apply`, the
+row-by-row product `__mul__` (Gustavson 1978) and every elimination read
+it, so they touch only nonzero entries, and +-1 costs a copy or a negation.
+There is one elimination routine, `_forward`: a fraction-free forward pass
+on sparse integer rows, each a {column: int} dict of its nonzeros scaled by
+the lcm of their denominators. It takes the columns left to right, so the
+pivot columns are the canonical ones, pivots on the sparsest row holding
+the column, and updates only the rows that hold it, by the one row update
+`_clear`: (a row - b pivot row) / content, which keeps entries small.
+Everything else derives from it:
+- `det` is the sign of its row order times its pivots and the factors a
+  and content of its updates; `rank` and `complement` read its pivot
+  columns;
+- `_rref` adds the reduction back to the pivots, by `_clear` again, with
+  fractions only at output; `kernel`, `rref_basis` and `inverse` (one
+  reduction of [M | I]) read it, and so does `actions.fixed_point_solve`,
+  which reduces each layer as [M | I]. `actions` memoizes holonomy
+  inverses, so no holonomy is reduced twice.
 - `solve` is the one solver: every right-hand side and the kernel from one
   reduction of [a | rhs].
 There is one joint-kernel routine, `intersect_kernels`: the kernel of the
@@ -26,7 +31,7 @@ stack with its columns reversed. `fixed_space` is it applied to the m - I,
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def _frac(x) -> Fraction:
@@ -43,7 +48,7 @@ def frac_to_str(x: Fraction) -> str:
     return str(x)
 
 
-_ZERO = Fraction(0)
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class RationalMatrix:
@@ -212,25 +217,35 @@ class RationalMatrix:
         return tuple(x for r in self.data for x in r)
 
     def det(self) -> Fraction:
-        """Sign times the last pivot of the fraction-free forward pass (Bareiss)."""
+        """From the forward pass: the sign of its row order, its pivots, and
+        the factors its row updates scaled by."""
         if not self.is_square():
             raise ValueError("determinant needs a square matrix")
-        work, scale = _integerize(self.data)
-        pivots, sign, last = _bareiss(work)
-        if len(pivots) < self.rows:
+        work, scale = _int_rows(self.sparse_rows())
+        order, gain, loss = _forward(work)
+        if len(order) < self.rows:
             return Fraction(0)
-        return Fraction(sign * last) * scale
+        rows = [p for _, p in order]
+        for c, p in order:
+            gain *= work[p][c]
+        inversions = sum(q < p for k, p in enumerate(rows) for q in rows[k + 1:])
+        return Fraction((-1) ** inversions * gain, loss * scale)
 
     def inverse(self) -> "RationalMatrix":
         if not self.is_square():
             raise ValueError("inverse needs a square matrix")
         n = self.rows
-        aug = [list(r) + [Fraction(int(i == j)) for j in range(n)]
-               for i, r in enumerate(self.data)]
-        ech, pivots = _rref(aug)
-        if len(pivots) < n or pivots != list(range(n)):
+        pivots, ech = _rref([row + ((n + i, 1),) for i, row in enumerate(self.sparse_rows())])
+        if pivots != list(range(n)):
             raise ValueError("matrix is singular")
-        return RationalMatrix([row[n:] for row in ech])
+        return RationalMatrix._trusted([_dense(row, n, 2 * n) for row in ech])
+
+    def shift(self, c) -> "RationalMatrix":
+        """self + c I, changing the diagonal only."""
+        if not self.is_square():
+            raise ValueError("shift needs a square matrix")
+        return RationalMatrix._trusted([row[:i] + (row[i] + c,) + row[i + 1:]
+                                        for i, row in enumerate(self.data)])
 
     def to_json(self):
         return [[frac_to_str(x) for x in r] for r in self.data]
@@ -253,86 +268,114 @@ def sparse_sum(terms, ncols):
             for x in acc]
 
 
-def _integerize(data):
-    """Scale each row to integers. Returns (int rows, det scale).
-
-    Row i is multiplied by the lcm of its denominators; `scale` is the
-    product of the inverses, so det(original) = scale * det(int rows).
-    """
-    out = []
-    scale = Fraction(1)
-    for row in data:
-        row = [_frac(x) for x in row]
-        m = 1
-        for x in row:
-            m = m * x.denominator // gcd(m, x.denominator)
-        scale /= m
-        out.append([x.numerator * (m // x.denominator) for x in row])
+def _int_rows(rows):
+    """Each row's nonzero (column, entry) pairs as {column: int}, scaled by
+    the lcm of the entries' denominators; and the product of those lcms."""
+    out, scale = [], 1
+    for row in rows:
+        m = lcm(*[x.denominator for _, x in row])
+        out.append({j: x.numerator * (m // x.denominator) for j, x in row})
+        scale *= m
     return out, scale
 
 
-def _bareiss(work):
-    """Fraction-free forward elimination of integer rows, in place.
+def _sparse(rows):
+    """The nonzero (column, entry) pairs of each of a list of dense rows; an
+    entry that is neither an int nor a Fraction is made a Fraction first."""
+    return [[(j, y) for j, x in enumerate(row) if x
+             for y in (x if isinstance(x, (int, Fraction)) else _frac(x),) if y]
+            for row in rows]
 
-    Every entry stays an integer minor of the input (Bareiss 1968), so the
-    divisions are exact. Returns (pivot columns, sign of the row swaps,
-    last pivot); for a square matrix of full rank, sign * last pivot is its
-    determinant.
+
+def _dense(row, lo, hi):
+    """Columns lo..hi-1 of a {column: Fraction} row, as a list."""
+    return [row.get(j, _ZERO) for j in range(lo, hi)]
+
+
+def _clear(row, prow, c):
+    """The one row update: row <- (a row - b prow) / content, in place, with
+    b / a the ratio of the rows' column-c entries in lowest terms, so that
+    column c of row vanishes. Returns (a, content)."""
+    g = gcd(prow[c], row[c])
+    a, b = prow[c] // g, row[c] // g
+    if a != 1:
+        for j in row:
+            row[j] *= a
+    for j, x in prow.items():
+        y = row.get(j, 0) - b * x
+        if y:
+            row[j] = y
+        else:
+            del row[j]
+    g = gcd(*row.values())
+    if g > 1:
+        for j in row:
+            row[j] //= g
+    return a, g or 1
+
+
+def _forward(rows):
+    """Fraction-free forward pass on {column: int} rows, in place.
+
+    Columns are taken left to right, so the pivot columns are the canonical
+    ones. In each, the pivot is the sparsest row with a nonzero there (ties
+    to the lowest index), and only the other rows with a nonzero there are
+    updated, by `_clear`; a column index keeps track of them. Returns the
+    (column, row index) of each pivot in order, and the products `gain` of
+    the contents and `loss` of the factors a of every update: the input's
+    determinant is gain / loss times that of the rows left behind.
     """
-    nr = len(work)
-    nc = len(work[0]) if work else 0
-    prev, sign = 1, 1
-    pivots = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        piv = next((i for i in range(r, nr) if work[i][c]), None)
-        if piv is None:
+    cols = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    order, gain, loss = [], 1, 1
+    for c in sorted(cols):
+        live = cols[c]
+        if not live:
             continue
-        if piv != r:
-            work[r], work[piv] = work[piv], work[r]
-            sign = -sign
-        pk = work[r][c]
-        for i in range(r + 1, nr):
-            ric = work[i][c]
-            for j in range(c, nc):
-                work[i][j] = (pk * work[i][j] - ric * work[r][j]) // prev
-        prev = pk
-        pivots.append(c)
-        r += 1
-    return pivots, sign, prev
+        p = min(live, key=lambda i: (len(rows[i]), i))
+        prow = rows[p]
+        for j in prow:
+            cols[j].discard(p)
+        for i in list(live):
+            row = rows[i]
+            a, g = _clear(row, prow, c)
+            gain, loss = gain * g, loss * a
+            for j in prow:
+                (cols[j].add if j in row else cols[j].discard)(i)
+        order.append((c, p))
+    return order, gain, loss
 
 
 def _rref(rows):
-    """Reduced row echelon form of a list of rows, and its pivot columns.
+    """Reduced row echelon form of rows of nonzero (column, entry) pairs:
+    the pivot columns and, per pivot, its reduced row as {column: Fraction}.
 
-    The forward pass is `_bareiss` on integer-scaled rows; the reduction
-    back to the pivots reintroduces fractions only once.
-    """
-    work, _ = _integerize(rows)
-    pivots, _, _ = _bareiss(work)
-    nr, nc, r = len(work), len(work[0]) if work else 0, len(pivots)
-    ech = [[Fraction(x) for x in row] for row in work[:r]]
-    for k in range(r - 1, -1, -1):
-        c = pivots[k]
-        pk = ech[k][c]
-        ech[k] = [x / pk for x in ech[k]]
-        for i in range(k):
-            f = ech[i][c]
-            if f:
-                ech[i] = [a - f * b for a, b in zip(ech[i], ech[k])]
-    ech += [[Fraction(0)] * nc for _ in range(nr - r)]
-    return ech, pivots
+    `_forward`, then the reduction back to each pivot, last pivot first,
+    with the same `_clear` on the rows above that hold its column; the
+    fractions appear only at output."""
+    work = _int_rows(rows)[0]
+    order = _forward(work)[0]
+    above = {c: [] for c, _ in order}
+    for c, p in order:
+        for j in work[p]:
+            if j != c and j in above:
+                above[j].append(p)
+    for c, p in reversed(order):
+        for i in above[c]:
+            _clear(work[i], work[p], c)
+    return [c for c, _ in order], [
+        {j: Fraction(x, work[p][c]) for j, x in work[p].items()} for c, p in order]
 
 
 def _pivots(rows):
-    """Pivot columns of a list of rows: the forward pass alone."""
-    return _bareiss(_integerize(rows)[0])[0]
+    """Pivot columns of rows of nonzero (column, entry) pairs: the forward pass alone."""
+    return [c for c, _ in _forward(_int_rows(rows)[0])[0]]
 
 
 def rank(m: RationalMatrix) -> int:
-    return len(_pivots(m.data))
+    return len(_pivots(m.sparse_rows()))
 
 
 def rref_basis(vectors):
@@ -343,30 +386,27 @@ def rref_basis(vectors):
     vecs = list(vectors)
     if not vecs:
         return []
-    ech, pivots = _rref(vecs)
-    return [tuple(ech[i]) for i in range(len(pivots))]
+    n = len(vecs[0])
+    return [tuple(_dense(row, 0, n)) for row in _rref(_sparse(vecs))[1]]
 
 
 def kernel(m: RationalMatrix):
     """Basis of the right null space, one vector per free column."""
-    ech, pivots = _rref(m.data)
-    return _null_vectors(ech, pivots, m.cols)
+    return _null_vectors(*_rref(m.sparse_rows()), m.cols)
 
 
-def _null_vectors(ech, pivots, n):
-    """Kernel basis of the first n columns of an RREF whose pivots there are
-    `pivots`, one vector per free column."""
+def _null_vectors(pivots, ech, n):
+    """Kernel basis of the first n columns of the reduced rows `ech` whose
+    pivots, all below n, are `pivots`: one vector per free column."""
     pivset = set(pivots)
-    basis = []
-    for free in range(n):
-        if free in pivset:
-            continue
-        v = [Fraction(0)] * n
-        v[free] = Fraction(1)
-        for k, c in enumerate(pivots):
-            v[c] = -ech[k][free]
-        basis.append(tuple(v))
-    return basis
+    basis = {f: [_ZERO] * n for f in range(n) if f not in pivset}
+    for f, v in basis.items():
+        v[f] = _ONE
+    for c, row in zip(pivots, ech):
+        for j, x in row.items():
+            if j < n and j != c:
+                basis[j][c] = -x
+    return [tuple(v) for v in basis.values()]
 
 
 def solve(a: RationalMatrix, rhs):
@@ -381,21 +421,19 @@ def solve(a: RationalMatrix, rhs):
     if any(len(b) != a.rows for b in rhs):
         raise ValueError("right-hand side length mismatch")
     n = a.cols
-    ech, pivots = _rref([list(row) + [b[i] for b in rhs]
-                         for i, row in enumerate(a.data)])
-    a_pivots = [c for c in pivots if c < n]
-    r = len(a_pivots)
-    sols = []
-    for j in range(n, n + len(rhs)):
-        # b is in the column span iff no pivot row beyond a's has weight on it
-        if any(ech[k][j] for k in range(r, len(pivots))):
-            sols.append(None)
-            continue
-        x = [Fraction(0)] * n
-        for k, c in enumerate(a_pivots):
-            x[c] = ech[k][j]
-        sols.append(tuple(x))
-    return sols, _null_vectors(ech, a_pivots, n)
+    rows = [list(row) for row in a.sparse_rows()]
+    for t, b in enumerate(_sparse(rhs)):
+        for i, x in b:
+            rows[i].append((n + t, x))
+    pivots, ech = _rref(rows)
+    r = sum(c < n for c in pivots)
+    # b is in the column span iff no pivot row beyond a's has weight on it
+    bad = {j for row in ech[r:] for j in row}
+    at = dict(zip(pivots[:r], ech))
+    sols = [None if j in bad else tuple(at[c].get(j, _ZERO) if c in at else _ZERO
+                                        for c in range(n))
+            for j in range(n, n + len(rhs))]
+    return sols, _null_vectors(pivots[:r], ech[:r], n)
 
 
 def complement(sub, whole):
@@ -406,11 +444,11 @@ def complement(sub, whole):
     if not whole:
         return []
     ns = len(sub)
-    return [whole[c - ns] for c in _pivots(list(zip(*(sub + whole)))) if c >= ns]
+    return [whole[c - ns] for c in _pivots(_sparse(zip(*(sub + whole)))) if c >= ns]
 
 
 def _unit_vectors(n):
-    return [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+    return [tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)]
 
 
 def intersect_kernels(mats):
@@ -426,11 +464,10 @@ def intersect_kernels(mats):
     if not mats:
         raise ValueError("need at least one matrix")
     n = mats[0].cols
-    rows = [row[::-1] for m in mats for row in m.data if any(row)]
+    rows = [[(n - 1 - j, x) for j, x in row] for m in mats for row in m.sparse_rows() if row]
     if not rows:
         return _unit_vectors(n)
-    ech, pivots = _rref(rows)
-    return [v[::-1] for v in reversed(_null_vectors(ech, pivots, n))]
+    return [v[::-1] for v in reversed(_null_vectors(*_rref(rows), n))]
 
 
 def fixed_space(mats, dim):
@@ -439,10 +476,7 @@ def fixed_space(mats, dim):
     mats = list(mats)
     if not mats:
         return _unit_vectors(dim)
-    # m - I without Fraction arithmetic off the diagonal
-    return intersect_kernels(
-        RationalMatrix._trusted([row[:i] + (row[i] - 1,) + row[i + 1:]
-                                 for i, row in enumerate(m.data)]) for m in mats)
+    return intersect_kernels(m.shift(-1) for m in mats)
 
 
 class Poly:
@@ -541,9 +575,8 @@ class Poly:
         if not m.is_square():
             raise ValueError("polynomial evaluation needs a square matrix")
         acc = RationalMatrix.zero(m.rows, m.cols)
-        ident = RationalMatrix.identity(m.rows)
         for c in reversed(self.coeffs):
-            acc = acc * m + ident.scale(c)
+            acc = (acc * m).shift(c)
         return acc
 
     def to_json(self):
@@ -602,11 +635,10 @@ def char_poly(m: RationalMatrix) -> Poly:
     n = m.rows
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
-    ident = RationalMatrix.identity(n)
     b = m
     for k in range(1, n + 1):
         c = -b.trace() / k
         coeffs[n - k] = c
         if k < n:
-            b = m * (b + ident.scale(c))
+            b = m * b.shift(c)
     return Poly(coeffs)

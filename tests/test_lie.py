@@ -306,9 +306,10 @@ def test_property_contains_matrix_matches_in_span(alg, data):
 def test_coordinates_and_structure_constants_take_one_elimination(alg, monkeypatch):
     calls = count_eliminations(monkeypatch)
     widths = []
-    counted = linalg._bareiss
-    monkeypatch.setattr(linalg, "_bareiss",
-                        lambda work: widths.append(len(work[0])) or counted(work))
+    counted = linalg._forward
+    # the width of a pass is one past the last column its rows hold
+    monkeypatch.setattr(linalg, "_forward", lambda work: widths.append(
+        1 + max((j for row in work for j in row), default=-1)) or counted(work))
     # construction checks ambient independence through the left inverse it
     # caches; the lower central series eliminates only dim-wide rows
     fresh = NilpotentLieAlgebra(alg.dim, alg.brackets, ambient=alg.ambient)

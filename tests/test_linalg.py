@@ -5,12 +5,15 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infrasolv import linalg
+from infrasolv.cohomology import CEComplex
+from infrasolv.lie import NilpotentLieAlgebra
 from infrasolv.linalg import (Poly, RationalMatrix, char_poly, complement,
                               fixed_space, intersect_kernels, kernel,
                               poly_ext_gcd, poly_gcd, rank, rref_basis, solve,
@@ -79,13 +82,13 @@ def leibniz_det(m):
 def count_eliminations(monkeypatch):
     """A list that grows by one for every forward elimination pass."""
     calls = []
-    original = linalg._bareiss
+    original = linalg._forward
 
     def counted(work):
         calls.append(len(work))
         return original(work)
 
-    monkeypatch.setattr(linalg, "_bareiss", counted)
+    monkeypatch.setattr(linalg, "_forward", counted)
     return calls
 
 
@@ -539,3 +542,202 @@ def test_intersect_kernels_runs_one_rref(monkeypatch):
         intersect_kernels(mats)
         assert len(calls) == (1 if any(any(m.data[i]) for m in mats
                                        for i in range(m.rows)) else 0)
+
+
+# ------------------------------------------------ against the dense elimination
+
+def _integerize(data):
+    """Scale each row to integers. Returns (int rows, det scale).
+
+    Row i is multiplied by the lcm of its denominators; `scale` is the
+    product of the inverses, so det(original) = scale * det(int rows).
+    """
+    out = []
+    scale = Fraction(1)
+    for row in data:
+        row = [linalg._frac(x) for x in row]
+        m = 1
+        for x in row:
+            m = m * x.denominator // gcd(m, x.denominator)
+        scale /= m
+        out.append([x.numerator * (m // x.denominator) for x in row])
+    return out, scale
+
+
+def _bareiss(work):
+    """Fraction-free forward elimination of integer rows, in place, on every
+    row below the pivot (Bareiss 1968). Returns (pivot columns, sign of the
+    row swaps, last pivot)."""
+    nr = len(work)
+    nc = len(work[0]) if work else 0
+    prev, sign = 1, 1
+    pivots = []
+    r = 0
+    for c in range(nc):
+        if r == nr:
+            break
+        piv = next((i for i in range(r, nr) if work[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            work[r], work[piv] = work[piv], work[r]
+            sign = -sign
+        pk = work[r][c]
+        for i in range(r + 1, nr):
+            ric = work[i][c]
+            for j in range(c, nc):
+                work[i][j] = (pk * work[i][j] - ric * work[r][j]) // prev
+        prev = pk
+        pivots.append(c)
+        r += 1
+    return pivots, sign, prev
+
+
+def _dense_rref(rows):
+    """The dense reduced row echelon form the sparse elimination replaced:
+    `_bareiss` on integer-scaled rows, then a Fraction reduction back to the
+    pivots. Returns (all rows, zero rows last; pivot columns)."""
+    work, _ = _integerize(rows)
+    pivots, _, _ = _bareiss(work)
+    nr, nc, r = len(work), len(work[0]) if work else 0, len(pivots)
+    ech = [[Fraction(x) for x in row] for row in work[:r]]
+    for k in range(r - 1, -1, -1):
+        c = pivots[k]
+        pk = ech[k][c]
+        ech[k] = [x / pk for x in ech[k]]
+        for i in range(k):
+            f = ech[i][c]
+            if f:
+                ech[i] = [a - f * b for a, b in zip(ech[i], ech[k])]
+    ech += [[Fraction(0)] * nc for _ in range(nr - r)]
+    return ech, pivots
+
+
+def _dense_det(m):
+    work, scale = _integerize(m.data)
+    pivots, sign, last = _bareiss(work)
+    return Fraction(0) if len(pivots) < m.rows else Fraction(sign * last) * scale
+
+
+def _dense_inverse(m):
+    n = m.rows
+    ech, pivots = _dense_rref([list(r) + [int(i == j) for j in range(n)]
+                               for i, r in enumerate(m.data)])
+    return None if pivots != list(range(n)) else M([row[n:] for row in ech])
+
+
+def _dense_null_vectors(ech, pivots, n):
+    basis = []
+    for free in (f for f in range(n) if f not in pivots):
+        v = [Fraction(0)] * n
+        v[free] = Fraction(1)
+        for k, c in enumerate(pivots):
+            v[c] = -ech[k][free]
+        basis.append(tuple(v))
+    return basis
+
+
+def _dense_solve(a, rhs):
+    n = a.cols
+    ech, pivots = _dense_rref([list(row) + [b[i] for b in rhs]
+                               for i, row in enumerate(a.data)])
+    a_pivots = [c for c in pivots if c < n]
+    r = len(a_pivots)
+    sols = []
+    for j in range(n, n + len(rhs)):
+        if any(ech[k][j] for k in range(r, len(pivots))):
+            sols.append(None)
+            continue
+        x = [Fraction(0)] * n
+        for k, c in enumerate(a_pivots):
+            x[c] = ech[k][j]
+        sols.append(tuple(x))
+    return sols, _dense_null_vectors(ech, a_pivots, n)
+
+
+def _elimination_cases(rng):
+    """Seeded matrices, as lists of rows: wide, tall, square, rank-deficient,
+    fractional, with zero rows, all-zero, and with string entries."""
+    fracs = (0, 1, -1, 2, F(-1, 3), F(5, 2), F(7, 4), F(-9, 8))
+    for _ in range(25):
+        r, c = rng.randint(1, 7), rng.randint(1, 7)
+        entries = rng.choice((SPARSE_ENTRIES, DENSE_ENTRIES, fracs))
+        rows = [[rng.choice(entries) for _ in range(c)] for _ in range(r)]
+        yield rows
+        yield rows + [[rng.choice(entries) for _ in range(c)] for _ in range(rng.randint(1, 4))]
+        extra = rng.randint(1, 4)
+        yield [row + [rng.choice(entries) for _ in range(extra)] for row in rows]
+        a, b = rows[0], rows[-1]
+        yield [a, [0] * c, b, [x - F(3, 2) * y for x, y in zip(a, b)], [0] * c]
+        yield [[0] * c for _ in range(r)]
+        yield [[str(linalg._frac(x)) for x in row] for row in rows]
+        n = rng.randint(1, 6)
+        yield [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+
+
+def _forms_algebra(family, n):
+    """The structure constants of the benchmark's `forms` families."""
+    m = (n - 1) // 2
+    brackets = {"abelian": {},
+                "filiform": {(0, i): i + 1 for i in range(1, n - 1)},
+                "heisenberg": {(i, m + i): n - 1 for i in range(m)},
+                "free2step": {p: 3 + t for t, p in enumerate(((0, 1), (0, 2), (1, 2)))}}
+    return NilpotentLieAlgebra(n, {pair: tuple(int(k == top) for k in range(n))
+                                   for pair, top in brackets[family].items()})
+
+
+FORMS_STRATA = [("abelian", n) for n in range(4, 9)] + [("filiform", n) for n in range(4, 9)] \
+    + [("heisenberg", 5), ("heisenberg", 7), ("free2step", 6)]
+
+
+def _assert_matches_the_dense_elimination(rows, rng):
+    m = M(rows)
+    ech, pivots = _dense_rref(rows)
+    got_pivots, got = linalg._rref(linalg._sparse(rows))
+    assert got_pivots == pivots == linalg._pivots(m.sparse_rows())
+    assert [linalg._dense(row, 0, m.cols) for row in got] == ech[:len(pivots)]
+    assert all(type(x) is Fraction for row in got for x in row.values())
+    assert rank(m) == len(pivots)
+    assert kernel(m) == _dense_null_vectors(ech, pivots, m.cols)
+    rhs = [m.apply([rng.choice(DENSE_ENTRIES) for _ in range(m.cols)]),
+           [rng.choice(SPARSE_ENTRIES) for _ in range(m.rows)], [0] * m.rows]
+    assert solve(m, rhs) == _dense_solve(m, rhs)
+    assert rref_basis(rows) == [tuple(row) for row in ech[:len(pivots)]]
+    if m.is_square():
+        assert m.det() == _dense_det(m)
+        want = _dense_inverse(m)
+        if want is None:
+            with pytest.raises(ValueError, match="singular"):
+                m.inverse()
+        else:
+            assert m.inverse() == want
+
+
+def test_elimination_matches_the_dense_oracle_on_seeded_matrices():
+    rng = random.Random(f"{SEED}-sparse-elimination")
+    for rows in _elimination_cases(rng):
+        _assert_matches_the_dense_elimination(rows, rng)
+
+
+@pytest.mark.parametrize("family,n", FORMS_STRATA)
+def test_elimination_matches_the_dense_oracle_on_ce_differentials(family, n):
+    rng = random.Random(f"{SEED}-{family}-{n}")
+    for rows in (list(d.data) for d in CEComplex(_forms_algebra(family, n)).diff):
+        _assert_matches_the_dense_elimination(rows, rng)
+        _assert_matches_the_dense_elimination(list(zip(*rows)), rng)
+
+
+def test_a_pivot_updates_only_the_rows_holding_its_column(monkeypatch):
+    updates = []
+    original = linalg._clear
+    monkeypatch.setattr(linalg, "_clear", lambda *a: updates.append(1) or original(*a))
+    rng = random.Random(f"{SEED}-untouched")
+    for n in (1, 4, 9):
+        diagonal = M([[F(rng.choice((-3, 2, 5)), rng.choice((1, 7))) if i == j else 0
+                       for j in range(n)] for i in range(n)])
+        for m in (diagonal, _signed_permutation(rng, n), diagonal * _signed_permutation(rng, n)):
+            assert rank(m) == n and m.det() != 0 and kernel(m) == []
+            assert m * m.inverse() == RationalMatrix.identity(n)
+            assert solve(m, [[1] * n])[0][0] is not None
+    assert updates == []
+    assert rank(M([[1, 2], [3, 4]])) == 2 and len(updates) == 1  # the counter counts
