@@ -144,7 +144,7 @@ class AffineElement:
         half = self.power(k // 2)
         square = half.compose(half)
         if max(max(x.numerator.bit_length(), x.denominator.bit_length())
-               for row in square.hol.data for x in row) > POWER_ENTRY_BITS:
+               for row in square.hol.sparse for _, x in row) > POWER_ENTRY_BITS:
             raise ValueError("word power exceeds the budget of "
                              f"{POWER_ENTRY_BITS} bits per holonomy entry")
         return square.compose(self) if k % 2 else square

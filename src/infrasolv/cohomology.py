@@ -5,7 +5,7 @@ the differential fixed on degree one by the structure constants and
 extended as an antiderivation. Each differential d_k is built once as
 sparse columns: for each basis k-form, a dict from (k+1)-form index to its
 nonzero coefficient. `CEComplex.diff[k]` is the same map as a
-`RationalMatrix`, its sparse row view read off the columns.
+`RationalMatrix`, whose sparse rows are filled from the columns.
 
 Holonomy matrices act contragrediently, by rho = hol^-T and its exterior
 powers. When rho is monomial (one nonzero in each row and each column, as
@@ -23,7 +23,7 @@ product:
   fixed part of the full cohomology, which must agree (AssertionError),
   and each route checks that the maps it restricts preserve the subspaces
   (AssertionError). Each route maps vectors by `RationalMatrix.apply`,
-  which runs over the sparse row view of d or of the action, and solves for
+  which runs over the sparse rows of d or of the action, and solves for
   all of a degree's images in one elimination (`linalg.solve`).
 """
 
@@ -40,7 +40,7 @@ from .linalg import (RationalMatrix, complement, fixed_space, kernel, rank,
 # Default limit on the algebra dimension, and the slowest case measured at
 # it (README, "Complex size"): full and invariant Betti numbers.
 MAX_COMPLEX_DIM = 11
-LIMIT_COST = "3 s for the abelian algebra under -I"
+LIMIT_COST = "1.7 s for the abelian algebra under -I"
 
 
 def _sort_with_sign(idx):
@@ -73,16 +73,10 @@ def _compose(outer, inner):
 
 def _monomial(m):
     """(row, entry) of the one nonzero in each column if m is monomial, else None."""
-    n = m.rows
-    out = []
-    for j in range(n):
-        nonzero = [(i, m[i, j]) for i in range(n) if m[i, j]]
-        if len(nonzero) != 1:
-            return None
-        out.append(nonzero[0])
-    if len({i for i, _ in out}) != n:
+    if any(len(row) != 1 for row in m.sparse):
         return None
-    return out
+    at = {j: (i, a) for i, ((j, a),) in enumerate(m.sparse)}
+    return [at[j] for j in range(m.cols)] if len(at) == m.cols else None
 
 
 class CEComplex:
@@ -146,12 +140,13 @@ class CEComplex:
         """
         rho = hol.inverse().transpose()
         mono = _monomial(rho)
+        rows = None if mono else [rho.row(i) for i in range(rho.rows)]
         actions = []
         for k, level in enumerate(self.basis):
             if mono is not None:
                 actions.append([self._monomial_image(mono, k, idx) for idx in level])
             else:
-                actions.append([self._minor_image(rho, k, idx) for idx in level])
+                actions.append([self._minor_image(rows, k, idx) for idx in level])
         for k in range(self.dim):
             if (_compose(self.columns[k], actions[k])
                     != _compose(actions[k + 1], self.columns[k])):
@@ -166,12 +161,12 @@ class CEComplex:
             val *= mono[j][1]
         return {self.index[k][key]: val}
 
-    def _minor_image(self, rho, k, idx):
+    def _minor_image(self, rows, k, idx):
         # a minor with a zero row vanishes: its rows lie in the columns' support
-        support = sorted({i for j in idx for i in range(rho.rows) if rho[i, j]})
+        support = [i for i, row in enumerate(rows) if any(row[j] for j in idx)]
         out = {}
         for rows_idx in combinations(support, k):
-            val = _minor(rho, rows_idx, idx)
+            val = _minor(rows, rows_idx, idx)
             if val:
                 out[self.index[k][rows_idx]] = val
         return out
@@ -183,11 +178,11 @@ def _betti(sizes, ranks):
     return tuple(size - ranks[k] - ranks[k + 1] for k, size in enumerate(sizes))
 
 
-def _minor(m, rows_idx, cols_idx):
+def _minor(rows, rows_idx, cols_idx):
     k = len(rows_idx)
     if k == 0:
         return Fraction(1)
-    sub = RationalMatrix([[m[i, j] for j in cols_idx] for i in rows_idx])
+    sub = RationalMatrix([[rows[i][j] for j in cols_idx] for i in rows_idx])
     return sub.det()
 
 
@@ -263,7 +258,8 @@ def invariant_cohomology_ranks(algebra: NilpotentLieAlgebra, hols,
     for k in range(n + 1):
         d_k = cx.diff[k] if k < n else RationalMatrix.zero(1, sizes[k])  # d_n = 0
         z_basis = kernel(d_k)
-        b_basis = rref_basis(zip(*cx.diff[k - 1].data)) if k > 0 else []
+        b_basis = rref_basis([[col.get(i, 0) for i in range(sizes[k])]
+                              for col in cx.columns[k - 1]]) if k > 0 else []
         route_two.append(_quotient_fixed_dim([a[k] for a in actions], z_basis,
                                              b_basis))
 

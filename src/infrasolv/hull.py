@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd
+from math import lcm
 from typing import Optional
 
 from .actions import AffineElement, GammaActionData
 from .jordan import is_semisimple
 from .lie import NilpotentLieAlgebra, bracket_closure, unip_log
-from .linalg import RationalMatrix, char_poly, fixed_space
+from .linalg import Poly, RationalMatrix, char_poly, fixed_space
 
 
 class InductionError(ValueError):
@@ -131,42 +131,34 @@ def _euler_phi(d: int) -> int:
     return result
 
 
-def finite_order_bound(n: int) -> int:
-    """lcm of all d with euler_phi(d) <= n: any finite-order element of
-    GL_n(Q) has order dividing this (its minimal polynomial is a product
-    of cyclotomics of degree <= n)."""
-    acc = 1
-    for d in range(1, 2 * n * n + 2):
-        if _euler_phi(d) <= n:
-            acc = acc * d // gcd(acc, d)
-    return acc
-
-
-def matrix_order(a: RationalMatrix, bound: int) -> Optional[int]:
+def matrix_order(a: RationalMatrix) -> Optional[int]:
     """Exact multiplicative order, or None if infinite.
 
-    `bound` must be a multiple of every possible finite order, e.g.
-    finite_order_bound(a.rows). Finite order forces all eigenvalues onto
-    the unit circle, so characteristic coefficients are screened against
-    binomial bounds before any large power is formed.
-    """
+    A matrix of finite order has an integral characteristic polynomial
+    whose irreducible factors are cyclotomic (Kronecker): each a Phi_d
+    with euler_phi(d) <= n, so d <= 2 n^2. The order is the lcm of the d
+    whose Phi_d divide it, found by exact division, with no large power;
+    one power A^m = I confirms it and rejects a matrix that is not
+    semisimple."""
     n = a.rows
-    cp = char_poly(a)
-    for k in range(n + 1):
-        if abs(cp.coeffs[k]) > comb(n, n - k):
-            return None
-    ident = RationalMatrix.identity(n)
-    if (a ** bound) != ident:
+    rest, order, phis = char_poly(a), 1, {}
+    if any(c.denominator != 1 for c in rest.coeffs):
         return None
-    order = bound
-    rest, p = bound, 2
-    while rest > 1:
-        if rest % p == 0:
-            while rest % p == 0:
-                rest //= p
-            while order % p == 0 and (a ** (order // p)) == ident:
-                order //= p
-        p += 1 if p == 2 else 2
+    for d in range(1, 2 * n * n + 1):
+        if rest.degree() == 0:
+            break
+        if _euler_phi(d) > rest.degree():
+            continue
+        phi = Poly([-1] + [0] * (d - 1) + [1])  # x^d - 1 over its Phi_e, e | d, e < d
+        for e in [e for e in phis if d % e == 0]:
+            phi //= phis[e]
+        phis[d] = phi
+        q, r = divmod(rest, phi)
+        while r.is_zero():
+            rest, order = q, lcm(order, d)
+            q, r = divmod(rest, phi)
+    if rest.degree() > 0 or a ** order != RationalMatrix.identity(n):
+        return None
     return order
 
 
@@ -192,11 +184,10 @@ def strong_radical_check(hull: SplitHullData, joint_cap: int = 20000,
     d = hull.algebra.ambient[0].rows
     ident_amb = RationalMatrix.identity(d)
     ident_hol = RationalMatrix.identity(n)
-    bound = finite_order_bound(n)
     notes = []
     orders = []
     for i, (t, a) in enumerate(zip(hull.t_generators, hull.hol_matrices)):
-        m = matrix_order(a, bound)
+        m = matrix_order(a)
         orders.append(m)
         if m is not None and (t ** m) != ident_amb:
             return StrongRadicalResult(

@@ -72,7 +72,8 @@ def _linear_polys(m: RationalMatrix):
     """The components of x -> m x as polynomials in m.cols variables, one
     MPoly per row."""
     units = [tuple(int(k == j) for k in range(m.cols)) for j in range(m.cols)]
-    return [MPoly._trusted(m.cols, dict(zip(units, row))) for row in m.data]
+    return [MPoly._trusted(m.cols, {units[j]: Fraction(a) for j, a in row})
+            for row in m.sparse]
 
 
 def _even_bch_coefficients(m):
@@ -207,10 +208,10 @@ class NilpotentLieAlgebra:
         if self.ambient is None or not self.ambient:
             raise ValueError("algebra has no ambient matrices")
         # one pass: sum_k c_k * b_k over each b_k's nonzero entries, row by row
-        terms = [(c, b.sparse_rows()) for c, b in zip(map(_frac, coords), self.ambient) if c]
+        terms = [(c, b.sparse) for c, b in zip(map(_frac, coords), self.ambient) if c]
         d = self.ambient[0].rows
         return RationalMatrix._trusted(
-            [sparse_sum([(c, rows[i]) for c, rows in terms], d) for i in range(d)])
+            [sparse_sum([(c, rows[i]) for c, rows in terms]) for i in range(d)], d)
 
     def coord_functional(self) -> RationalMatrix:
         """Left inverse L (dim x d^2) of the flattened basis: coords = L @ flat(X)."""
@@ -218,7 +219,7 @@ class NilpotentLieAlgebra:
             raise ValueError("algebra has no ambient matrices")
         if self._coord_functional is None:
             # solve stack^T y = e_i for every i at once; rows of L are the y's
-            st = RationalMatrix.from_columns([m.flatten() for m in self.ambient]).transpose()
+            st = RationalMatrix([m.flatten() for m in self.ambient])
             rows, _ = solve(st, [self.basis_vector(i) for i in range(self.dim)])
             if None in rows:
                 raise ValueError("ambient basis matrices are linearly dependent")

@@ -1,10 +1,17 @@
 """Exact linear algebra over the rationals.
 
 Everything in this package runs on Fraction entries; no floats anywhere.
-A matrix is stored dense. Its sparse row view, built once, lists each row's
-nonzero (column, entry) pairs, an entry of +-1 as the int: `apply`, the
-row-by-row product `__mul__` (Gustavson 1978) and every elimination read
-it, so they touch only nonzero entries, and +-1 costs a copy or a negation.
+A matrix is stored as its sparse rows only: each row's nonzero (column,
+entry) pairs in column order, an entry of +-1 as the int. Equal matrices
+have equal rows, so equality and hashing read them. The constructor takes
+dense rows and converts them once; `from_sparse_columns` and `from_columns`
+fill the rows directly. The dense readers (`row`, `__getitem__`, `data`,
+`flatten`, `to_json`) compute their answer on each call and store nothing;
+every entry they return is a Fraction. `apply`, every elimination and the
+entrywise arithmetic read the rows, so they touch only nonzero entries,
+and +-1 costs a copy or a negation: the sums, differences, multiples,
+shifts and the row-by-row product `__mul__` (Gustavson 1978) all go
+through the one row combiner `sparse_sum`.
 There is one elimination routine, `_forward`: a fraction-free forward pass
 on sparse integer rows, each a {column: int} dict of its nonzeros scaled by
 the lcm of their denominators. It takes the columns left to right, so the
@@ -51,123 +58,125 @@ def frac_to_str(x: Fraction) -> str:
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
-class RationalMatrix:
-    """Immutable dense matrix with Fraction entries."""
+def _entry(x):
+    """A nonzero entry as stored: +-1 as the int, any other value a Fraction."""
+    if x == 1 or x == -1:
+        return int(x)
+    return x if type(x) is Fraction else Fraction(x)
 
-    __slots__ = ("rows", "cols", "data", "_hash", "_sparse")
+
+class RationalMatrix:
+    """Immutable matrix with Fraction entries, stored as its sparse rows."""
+
+    __slots__ = ("rows", "cols", "sparse", "_hash")
 
     def __init__(self, rows_of_entries):
-        data = tuple(tuple(_frac(x) for x in row) for row in rows_of_entries)
+        data = [[_frac(x) for x in row] for row in rows_of_entries]
         if not data:
             raise ValueError("matrix needs at least one row")
         ncols = len(data[0])
         if ncols == 0 or any(len(r) != ncols for r in data):
             raise ValueError("ragged or empty rows")
-        self._fill(data)
+        self._fill([[(j, _entry(x)) for j, x in enumerate(r) if x] for r in data], ncols)
 
     @classmethod
-    def _trusted(cls, rows, sparse=None):
-        """A matrix of rows of Fractions and its sparse row view, if known; no checks."""
-        return object.__new__(cls)._fill(tuple(map(tuple, rows)), sparse)
+    def _trusted(cls, sparse, ncols):
+        """A matrix of sparse rows whose entries are stored as `_entry` makes
+        them, in column order; no checks."""
+        return object.__new__(cls)._fill(sparse, ncols)
 
-    def _fill(self, data, sparse=None):
-        for name, value in (("data", data), ("rows", len(data)), ("cols", len(data[0])),
-                            ("_hash", None), ("_sparse", sparse)):
+    def _fill(self, sparse, ncols):
+        for name, value in (("sparse", tuple(map(tuple, sparse))), ("rows", len(sparse)),
+                            ("cols", ncols), ("_hash", None)):
             object.__setattr__(self, name, value)
         return self
 
     def __setattr__(self, *a):
         raise AttributeError("RationalMatrix is immutable")
 
-    def sparse_rows(self):
-        """The sparse row view: each row's nonzero (column, entry) pairs; built once."""
-        if self._sparse is None:
-            object.__setattr__(self, "_sparse", tuple(
-                tuple((j, int(a) if a in (1, -1) else a) for j, a in enumerate(row) if a)
-                for row in self.data))
-        return self._sparse
-
     @staticmethod
     def identity(n: int) -> "RationalMatrix":
-        one, zero = Fraction(1), Fraction(0)
-        return RationalMatrix([[one if i == j else zero for j in range(n)]
-                               for i in range(n)])
+        return RationalMatrix._trusted([((i, 1),) for i in range(n)], n)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "RationalMatrix":
-        z = Fraction(0)
-        return RationalMatrix([[z] * cols for _ in range(rows)])
+        return RationalMatrix._trusted([()] * rows, cols)
 
     @staticmethod
     def from_sparse_columns(columns, nrows) -> "RationalMatrix":
-        """Matrix of columns given as {row: nonzero Fraction} dicts; its sparse
-        row view is read off them, not found by a scan of the zeros."""
-        data = [[_ZERO] * len(columns) for _ in range(nrows)]
-        sparse = [[] for _ in range(nrows)]
+        """Matrix of columns given as {row: nonzero entry} dicts."""
+        rows = [[] for _ in range(nrows)]
         for c, col in enumerate(columns):
             for r, x in col.items():
-                data[r][c] = x
-                sparse[r].append((c, int(x) if x in (1, -1) else x))
-        return RationalMatrix._trusted(data, tuple(map(tuple, sparse)))
+                rows[r].append((c, _entry(x)))
+        return RationalMatrix._trusted(rows, len(columns))
 
     @staticmethod
     def from_columns(columns) -> "RationalMatrix":
-        cols = [tuple(c) for c in columns]
-        return RationalMatrix([[cols[j][i] for j in range(len(cols))]
-                               for i in range(len(cols[0]))])
+        return RationalMatrix(columns).transpose()
+
+    def row(self, i):
+        out = [_ZERO] * self.cols
+        for j, a in self.sparse[i]:
+            out[j] = Fraction(a)
+        return tuple(out)
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.data[i][j]
+        return self.row(i)[j]
 
-    def row(self, i):
-        return self.data[i]
+    @property
+    def data(self):
+        """The dense rows, computed on each call."""
+        return tuple(map(self.row, range(self.rows)))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def __eq__(self, other):
-        return self is other or (isinstance(other, RationalMatrix)
-                                 and self.data == other.data)
+        return self is other or (isinstance(other, RationalMatrix) and self.cols == other.cols
+                                 and self.sparse == other.sparse)
 
     def __hash__(self):
         # computed once: matrices key memo tables and word-ball dicts
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash(self.data))
+            object.__setattr__(self, "_hash", hash((self.cols, self.sparse)))
         return self._hash
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in r) for r in self.data)
         return f"RationalMatrix[{body}]"
 
+    def _rowwise(self, terms):
+        """The matrix of self's shape whose row i is sparse_sum(terms(i, row i))."""
+        return RationalMatrix._trusted(
+            [sparse_sum(terms(i, row)) for i, row in enumerate(self.sparse)], self.cols)
+
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch in addition")
-        return RationalMatrix._trusted([[a + b for a, b in zip(r, s)]
-                                        for r, s in zip(self.data, other.data)])
+        return self._rowwise(lambda i, row: ((1, row), (1, other.sparse[i])))
 
     def __sub__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch in subtraction")
-        return RationalMatrix._trusted([[a - b for a, b in zip(r, s)]
-                                        for r, s in zip(self.data, other.data)])
+        return self._rowwise(lambda i, row: ((1, row), (-1, other.sparse[i])))
 
     def __neg__(self):
-        return RationalMatrix._trusted([[-a for a in r] for r in self.data])
+        return self._rowwise(lambda i, row: ((-1, row),))
 
     def scale(self, c) -> "RationalMatrix":
         c = _frac(c)
-        return RationalMatrix._trusted([[c * a for a in r] for r in self.data])
+        return self._rowwise(lambda i, row: ((c, row),))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        brows = other.sparse_rows()
-        return RationalMatrix._trusted([
-            sparse_sum([(a, brows[j]) for j, a in row], other.cols)
-            for row in self.sparse_rows()])
+        brows = other.sparse
+        return RationalMatrix._trusted([sparse_sum([(a, brows[j]) for j, a in row])
+                                        for row in self.sparse], other.cols)
 
     __rmul__ = scale
 
@@ -186,32 +195,32 @@ class RationalMatrix:
         return acc
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix._trusted(zip(*self.data))
+        return RationalMatrix.from_sparse_columns(list(map(dict, self.sparse)), self.cols)
 
     def apply(self, vec):
         """Matrix-vector product; vec is a sequence, result a tuple.
 
-        Runs over the sparse row view: an entry of +-1 is a copy or a
-        negation, so a signed permutation multiplies nothing."""
+        Runs over the sparse rows: an entry of +-1 is a copy or a negation,
+        so a signed permutation multiplies nothing."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         v = [x if isinstance(x, Fraction) else _frac(x) for x in vec]
         out = []
-        for row in self._sparse or self.sparse_rows():
+        for row in self.sparse:
             acc = None
             for j, a in row:
                 t = (v[j] if a > 0 else -v[j]) if type(a) is int else a * v[j]
                 acc = t if acc is None else acc + t
-            out.append(Fraction(0) if acc is None else acc)
+            out.append(_ZERO if acc is None else acc)
         return tuple(out)
 
     def trace(self) -> Fraction:
         if not self.is_square():
             raise ValueError("trace needs a square matrix")
-        return sum((self.data[i][i] for i in range(self.rows)), Fraction(0))
+        return sum((a for i, row in enumerate(self.sparse) for j, a in row if j == i), _ZERO)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self.data for x in r)
+        return not any(self.sparse)
 
     def flatten(self):
         return tuple(x for r in self.data for x in r)
@@ -221,7 +230,7 @@ class RationalMatrix:
         the factors its row updates scaled by."""
         if not self.is_square():
             raise ValueError("determinant needs a square matrix")
-        work, scale = _int_rows(self.sparse_rows())
+        work, scale = _int_rows(self.sparse)
         order, gain, loss = _forward(work)
         if len(order) < self.rows:
             return Fraction(0)
@@ -235,17 +244,18 @@ class RationalMatrix:
         if not self.is_square():
             raise ValueError("inverse needs a square matrix")
         n = self.rows
-        pivots, ech = _rref([row + ((n + i, 1),) for i, row in enumerate(self.sparse_rows())])
+        pivots, ech = _rref([row + ((n + i, 1),) for i, row in enumerate(self.sparse)])
         if pivots != list(range(n)):
             raise ValueError("matrix is singular")
-        return RationalMatrix._trusted([_dense(row, n, 2 * n) for row in ech])
+        return RationalMatrix._trusted([[(j - n, _entry(x)) for j, x in sorted(row.items())
+                                         if j >= n] for row in ech], n)
 
     def shift(self, c) -> "RationalMatrix":
         """self + c I, changing the diagonal only."""
         if not self.is_square():
             raise ValueError("shift needs a square matrix")
-        return RationalMatrix._trusted([row[:i] + (row[i] + c,) + row[i + 1:]
-                                        for i, row in enumerate(self.data)])
+        c = _frac(c)
+        return self._rowwise(lambda i, row: ((1, row), (c, ((i, 1),))))
 
     def to_json(self):
         return [[frac_to_str(x) for x in r] for r in self.data]
@@ -255,17 +265,17 @@ class RationalMatrix:
         return RationalMatrix(obj)
 
 
-def sparse_sum(terms, ncols):
-    """Sum of a * row over the (a, row) pairs of sparse rows, as ncols Fractions;
-    an int factor is +-1, so its products are copies or negations."""
-    acc = [None] * ncols
+def sparse_sum(terms):
+    """Sum of a * row over the (a, row) pairs of sparse rows, as a sparse
+    row; an int factor or entry is +-1, so its products are copies or
+    negations."""
+    acc = {}
     for a, row in terms:
         for k, b in row:
             t = ((b if a > 0 else -b) if type(a) is int
                  else (a if b > 0 else -a) if type(b) is int else a * b)
-            acc[k] = t if acc[k] is None else acc[k] + t
-    return [_ZERO if x is None else x if type(x) is Fraction else Fraction(x)
-            for x in acc]
+            acc[k] = acc[k] + t if k in acc else t
+    return [(k, _entry(acc[k])) for k in sorted(acc) if acc[k]]
 
 
 def _int_rows(rows):
@@ -375,7 +385,7 @@ def _pivots(rows):
 
 
 def rank(m: RationalMatrix) -> int:
-    return len(_pivots(m.sparse_rows()))
+    return len(_pivots(m.sparse))
 
 
 def rref_basis(vectors):
@@ -392,7 +402,7 @@ def rref_basis(vectors):
 
 def kernel(m: RationalMatrix):
     """Basis of the right null space, one vector per free column."""
-    return _null_vectors(*_rref(m.sparse_rows()), m.cols)
+    return _null_vectors(*_rref(m.sparse), m.cols)
 
 
 def _null_vectors(pivots, ech, n):
@@ -421,7 +431,7 @@ def solve(a: RationalMatrix, rhs):
     if any(len(b) != a.rows for b in rhs):
         raise ValueError("right-hand side length mismatch")
     n = a.cols
-    rows = [list(row) for row in a.sparse_rows()]
+    rows = [list(row) for row in a.sparse]
     for t, b in enumerate(_sparse(rhs)):
         for i, x in b:
             rows[i].append((n + t, x))
@@ -464,7 +474,7 @@ def intersect_kernels(mats):
     if not mats:
         raise ValueError("need at least one matrix")
     n = mats[0].cols
-    rows = [[(n - 1 - j, x) for j, x in row] for m in mats for row in m.sparse_rows() if row]
+    rows = [[(n - 1 - j, x) for j, x in row] for m in mats for row in m.sparse if row]
     if not rows:
         return _unit_vectors(n)
     return [v[::-1] for v in reversed(_null_vectors(*_rref(rows), n))]

@@ -89,8 +89,7 @@ def matrix(obj, path) -> RationalMatrix:
         rows.append(_row(row, f"{path}[{i}]"))
     if not width:
         raise SchemaError(path, "ragged or empty rows")
-    # every entry is a Fraction already, and the shape is checked
-    return RationalMatrix._trusted(rows)
+    return RationalMatrix(rows)
 
 
 def _matrix_list(obj, path):

@@ -305,3 +305,23 @@ def test_complex_and_invariants_take_no_dense_product(monkeypatch):
     assert invariant_cohomology_ranks(abelian(8), [minus]) == (
         1, 0, 28, 0, 70, 0, 28, 0, 1)
     assert not products and cx.dim == 8
+
+
+def test_complex_and_invariants_read_no_dense_matrix(monkeypatch):
+    """The cohomology path reads matrices by their sparse rows only. -I is
+    monomial, so no minor is taken: the minors alone read rho's dense rows."""
+    dense = []
+
+    def reader(name):
+        def read(*args):
+            dense.append(name)
+            raise AssertionError(f"dense reader {name} called")
+        return read
+
+    for name in ("row", "__getitem__", "flatten"):
+        monkeypatch.setattr(RationalMatrix, name, reader(name))
+    monkeypatch.setattr(RationalMatrix, "data", property(reader("data")))
+    minus = RationalMatrix([[-int(i == j) for j in range(6)] for i in range(6)])
+    assert CEComplex(abelian(6)).betti_numbers() == (1, 6, 15, 20, 15, 6, 1)
+    assert invariant_cohomology_ranks(abelian(6), [minus]) == (1, 0, 15, 0, 15, 0, 1)
+    assert not dense

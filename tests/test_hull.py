@@ -1,6 +1,11 @@
+import os
+import pathlib
 import random
+import subprocess
 import sys
+import textwrap
 from fractions import Fraction as F
+from math import comb, gcd
 
 import pytest
 from test_actions import _triangular_conjugation, _upper_algebra
@@ -9,13 +14,13 @@ from infrasolv import bundles
 from infrasolv.actions import (AffineElement, GammaActionData,
                                is_lie_automorphism, right_translation_map)
 from infrasolv.hull import (CosetExtension, FittingResult, InductionError,
-                            SplitHullData, alpha_T, conjugacy_transport,
-                            finite_order_bound, fitting_radical_check,
+                            SplitHullData, _euler_phi, alpha_T,
+                            conjugacy_transport, fitting_radical_check,
                             hol_from_ambient, hull_axiom_check, induce_extension,
                             matrix_order, strong_radical_check)
 from infrasolv.lie import (UnipotentGroupData, bracket_closure, lie_closure,
                            nilp_exp, unip_log)
-from infrasolv.linalg import RationalMatrix
+from infrasolv.linalg import RationalMatrix, char_poly
 from infrasolv.schema import load_bundle
 
 
@@ -159,6 +164,85 @@ def test_conjugacy_transport_identity_v():
 # ------------------------------------------------------------------
 # strong unipotent radical
 
+def finite_order_bound(n: int) -> int:
+    """lcm of all d with euler_phi(d) <= n: any finite-order element of
+    GL_n(Q) has order dividing this (its minimal polynomial is a product
+    of cyclotomics of degree <= n)."""
+    acc = 1
+    for d in range(1, 2 * n * n + 2):
+        if _euler_phi(d) <= n:
+            acc = acc * d // gcd(acc, d)
+    return acc
+
+
+def power_order(a, bound):
+    """The order as `matrix_order` found it before the cyclotomic test: a
+    binomial screen of the characteristic coefficients, then A^bound = I,
+    then each prime divided out of the bound while the power stays I. The
+    oracle for `matrix_order`; A^bound is too slow past n = 8."""
+    n = a.rows
+    cp = char_poly(a)
+    if any(abs(cp.coeffs[k]) > comb(n, n - k) for k in range(n + 1)):
+        return None
+    ident = RationalMatrix.identity(n)
+    if a ** bound != ident:
+        return None
+    order, rest, p = bound, bound, 2
+    while rest > 1:
+        if rest % p == 0:
+            while rest % p == 0:
+                rest //= p
+            while order % p == 0 and a ** (order // p) == ident:
+                order //= p
+        p += 1 if p == 2 else 2
+    return order
+
+
+def _block_diag(blocks):
+    n = sum(b.rows for b in blocks)
+    rows, at = [[0] * n for _ in range(n)], 0
+    for b in blocks:
+        for i, row in enumerate(b.data):
+            rows[at + i][at:at + b.rows] = row
+        at += b.rows
+    return RationalMatrix(rows)
+
+
+def _companion(coeffs):
+    """Companion matrix of the monic polynomial with these low coefficients."""
+    n = len(coeffs)
+    return RationalMatrix([[int(i == j + 1) for j in range(n - 1)] + [-coeffs[i]]
+                           for i in range(n)])
+
+
+# Phi_d for the d with euler_phi(d) <= 4, low coefficients (the leading 1 left out)
+CYCLOTOMIC = {1: [-1], 2: [1], 3: [1, 1], 4: [1, 0], 5: [1, 1, 1, 1], 6: [1, -1],
+              8: [1, 0, 0, 0], 10: [1, -1, 1, -1], 12: [1, 0, -1, 0]}
+ROTATION = RationalMatrix([[F(3, 5), F(-4, 5)], [F(4, 5), F(3, 5)]])  # infinite order
+
+
+def _order_cases(rng):
+    """Seeded matrices of size <= 8: finite orders conjugated off the
+    companion form, and infinite orders of each kind `matrix_order` rejects."""
+    for _ in range(20):
+        ds, size = [], 0
+        while True:
+            d = rng.choice(sorted(CYCLOTOMIC))
+            if size + len(CYCLOTOMIC[d]) > 6:
+                break
+            ds.append(d)
+            size += len(CYCLOTOMIC[d])
+        block = _block_diag([_companion(CYCLOTOMIC[d]) for d in ds])
+        n = block.rows
+        p = RationalMatrix([[rng.choice((0, 0, 1, F(1, 2), -2)) if j > i else int(i == j)
+                             for j in range(n)] for i in range(n)])
+        yield p * block * p.inverse()
+        yield _block_diag([block, RationalMatrix([[1, 1], [0, 1]])])  # not semisimple
+        yield _block_diag([block, ROTATION])                            # not integral
+    yield _companion([1, -3])                                           # x^2 - 3x + 1
+    yield _companion([-1, -1])                                          # x^2 - x - 1
+
+
 def test_finite_order_bound_small():
     assert finite_order_bound(1) == 2
     assert finite_order_bound(2) == 12
@@ -166,12 +250,60 @@ def test_finite_order_bound_small():
 
 def test_matrix_order():
     rot = RationalMatrix([[0, -1], [1, 0]])
-    assert matrix_order(rot, finite_order_bound(2)) == 4
+    assert matrix_order(rot) == 4
     shear = RationalMatrix([[1, 1], [0, 1]])
-    assert matrix_order(shear, finite_order_bound(2)) is None
+    assert matrix_order(shear) is None
     hyper = RationalMatrix([[2, 1], [1, 1]])
-    assert matrix_order(hyper, finite_order_bound(2)) is None
-    assert matrix_order(RationalMatrix.identity(3), finite_order_bound(3)) == 1
+    assert matrix_order(hyper) is None
+    assert matrix_order(RationalMatrix.identity(3)) == 1
+
+
+def test_matrix_order_matches_the_power_oracle():
+    rng = random.Random("matrix-order")
+    orders = []
+    for a in _order_cases(rng):
+        got = matrix_order(a)
+        assert got == power_order(a, finite_order_bound(a.rows))
+        orders.append(got)
+    assert len({o for o in orders if o is not None}) >= 5 and orders.count(None) > 40
+
+
+SRC_ENV = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).parents[1] / "src")}
+
+
+def test_matrix_order_of_a_large_rotation_needs_no_large_power():
+    """Six copies of an infinite-order rotation: the power route raised
+    this to the 720720th power. In a child process, so a regression fails
+    at the timeout instead of hanging the suite."""
+    script = textwrap.dedent("""
+        import time
+        from fractions import Fraction as F
+        from infrasolv.hull import SplitHullData, matrix_order, strong_radical_check
+        from infrasolv.lie import UnipotentGroupData, lie_closure, nilp_exp
+        from infrasolv.linalg import RationalMatrix
+        n = 12
+        c, s = F(3, 5), F(4, 5)
+        t = [[0] * (n + 1) for _ in range(n + 1)]
+        for k in range(0, n, 2):
+            t[k][k], t[k][k + 1], t[k + 1][k], t[k + 1][k + 1] = c, -s, s, c
+        t[n][n] = 1
+        gens = [nilp_exp(RationalMatrix([[int((i, j) == (k, n)) for j in range(n + 1)]
+                                         for i in range(n + 1)])) for k in range(n)]
+        hull = SplitHullData(lie_closure(UnipotentGroupData(generators=tuple(gens),
+                                                            dim_ambient=n + 1)),
+                             UnipotentGroupData(generators=tuple(gens), dim_ambient=n + 1),
+                             t_generators=(RationalMatrix(t),))
+        start = time.perf_counter()
+        order = matrix_order(hull.hol_matrices[0])
+        res = strong_radical_check(hull)
+        print(order, res.ok, res.exact, time.perf_counter() - start)
+        """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=20, env=SRC_ENV)
+    assert proc.returncode == 0, proc.stderr
+    order, ok, exact, seconds = proc.stdout.split()
+    assert (order, ok, exact) == ("None", "True", "True")
+    assert float(seconds) < 1
 
 
 def test_strong_radical_passes_for_klein():
@@ -248,7 +380,7 @@ def test_strong_radical_collision_in_the_infinite_order_walk():
     hull = SplitHullData(alg, UnipotentGroupData(generators=(g1, g2),
                                                  dim_ambient=3),
                          t_generators=(t, 2 * t))
-    assert matrix_order(hull.hol_matrices[0], finite_order_bound(2)) is None
+    assert matrix_order(hull.hol_matrices[0]) is None
     res = strong_radical_check(hull)
     assert not res.ok and res.exact
     assert res.witness == 2 * RationalMatrix.identity(3)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import pathlib
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -154,12 +156,17 @@ def test_equal_matrices_hash_equal_and_stay_immutable():
     a = M([[1, F(1, 2)], [0, -1]])
     b = M([["1", "1/2"], ["0", "-1"]])
     c = RationalMatrix.identity(2) * a
-    assert hash(a) == hash(a) == hash(b) == hash(c) == hash(a.data)
-    assert len({a, b, c}) == 1 and a != M([[1, F(1, 2)], [0, 1]])
-    for name in ("data", "rows", "cols", "_hash"):
+    d = RationalMatrix.from_sparse_columns([{0: F(1)}, {0: F(1, 2), 1: F(-1)}], 2)
+    assert a == b == c == d and hash(a) == hash(b) == hash(c) == hash(d)
+    assert len({a, b, c, d}) == 1
+    for other in (M([[1, F(1, 2)], [0, 1]]), M([[1, F(1, 2)], [0, -1], [0, 0]]),
+                  RationalMatrix.from_sparse_columns([{0: F(1)}, {0: F(1, 2)}], 2)):
+        assert a != other and other not in {a, b, c, d}
+    for name in ("data", "rows", "cols", "sparse", "_hash"):
         with pytest.raises(AttributeError):
             setattr(a, name, None)
-    assert hash(a) == hash(b.data) and a == b
+    assert a.data == ((1, F(1, 2)), (0, -1))
+    assert all(type(x) is F for x in a.flatten())
 
 
 def test_span_helpers():
@@ -694,7 +701,7 @@ def _assert_matches_the_dense_elimination(rows, rng):
     m = M(rows)
     ech, pivots = _dense_rref(rows)
     got_pivots, got = linalg._rref(linalg._sparse(rows))
-    assert got_pivots == pivots == linalg._pivots(m.sparse_rows())
+    assert got_pivots == pivots == linalg._pivots(m.sparse)
     assert [linalg._dense(row, 0, m.cols) for row in got] == ech[:len(pivots)]
     assert all(type(x) is Fraction for row in got for x in row.values())
     assert rank(m) == len(pivots)
@@ -741,3 +748,13 @@ def test_a_pivot_updates_only_the_rows_holding_its_column(monkeypatch):
             assert solve(m, [[1] * n])[0][0] is not None
     assert updates == []
     assert rank(M([[1, 2], [3, 4]])) == 2 and len(updates) == 1  # the counter counts
+
+
+def test_only_linalg_reads_the_dense_rows():
+    """`RationalMatrix.data` is a computed view for tests and printing; no
+    module of the package but `linalg` reads a `.data` attribute."""
+    package = pathlib.Path(linalg.__file__).parent
+    readers = [path.name for path in sorted(package.glob("*.py")) if path.name != "linalg.py"
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Attribute) and node.attr == "data"]
+    assert readers == []
